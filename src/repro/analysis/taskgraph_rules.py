@@ -13,6 +13,7 @@ broken graph up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import networkx as nx
@@ -28,6 +29,17 @@ class TaskGraphContext:
     sim: TaskGraphSimulator
     topology: Optional[nx.Graph] = None
 
+    @cached_property
+    def view(self):
+        """The simulator's columnar graph as a
+        :class:`~repro.analysis.verifier.graph.GraphView`, lowered once
+        and shared by every rule (the same lowering the DV rules use)."""
+        # Deferred import: the verifier package reaches back into the
+        # linter, which imports this module.
+        from repro.analysis.verifier.graph import GraphView
+
+        return GraphView.from_simulator(self.sim)
+
 
 @rule("TG001", "taskgraph-cycle", "taskgraph", "error",
       description="The task dependency graph must be acyclic; a cycle "
@@ -36,11 +48,7 @@ def check_cycles(ctx: TaskGraphContext, emit: Emitter) -> None:
     # GraphView's Kahn fast path keeps the clean (acyclic) case near-free
     # — this runs before every sanitized simulation — and only builds the
     # SCC machinery once a cycle exists (shared with the DV002 deep rule).
-    # Deferred import: the verifier package reaches back into the linter,
-    # which imports this module.
-    from repro.analysis.verifier.graph import GraphView
-
-    view = GraphView.from_simulator(ctx.sim)
+    view = ctx.view
     for members in view.cycles(limit=3):
         names = [view.names[m] for m in members[:5]]
         emit(f"dependency cycle through {len(members)} task(s): "
@@ -55,16 +63,17 @@ def check_cycles(ctx: TaskGraphContext, emit: Emitter) -> None:
 def check_endpoints(ctx: TaskGraphContext, emit: Emitter) -> None:
     if ctx.topology is None:
         return
+    view = ctx.view
     count = 0
-    for task in ctx.sim.tasks:
-        if task.kind != "transfer":
+    for index in range(view.n):
+        if view.kinds[index] != "transfer":
             continue
-        for endpoint in (task.src, task.dst):
+        for endpoint in (view.srcs[index], view.dsts[index]):
             if endpoint not in ctx.topology:
                 if count < 5:
-                    emit(f"transfer {task.name!r} endpoint {endpoint!r} is "
-                         "not a topology node",
-                         location=f"task[{task.task_id}]",
+                    emit(f"transfer {view.names[index]!r} endpoint "
+                         f"{endpoint!r} is not a topology node",
+                         location=f"task[{view.ids[index]}]",
                          endpoint=str(endpoint))
                 count += 1
 
@@ -73,23 +82,18 @@ def check_endpoints(ctx: TaskGraphContext, emit: Emitter) -> None:
       description="Each task's remaining-dependency counter must equal "
                   "its in-degree; a mismatch strands the task forever.")
 def check_dep_counts(ctx: TaskGraphContext, emit: Emitter) -> None:
-    indegree = {t.task_id: 0 for t in ctx.sim.tasks}
-    for task in ctx.sim.tasks:
-        if task.done:
-            continue
-        for dependent in task.dependents:
-            if not dependent.done:
-                indegree[dependent.task_id] += 1
+    view = ctx.view
+    done = view.done
     count = 0
-    for task in ctx.sim.tasks:
-        if task.done:
+    for index in range(view.n):
+        if done[index]:
             continue
-        if task.remaining_deps != indegree[task.task_id]:
+        actual = sum(1 for dep in view.deps[index] if not done[dep])
+        declared = view.declared[index]
+        if declared != actual:
             if count < 5:
-                emit(f"task {task.name!r} counts {task.remaining_deps} "
-                     f"pending deps but {indegree[task.task_id]} tasks "
-                     "point at it",
-                     location=f"task[{task.task_id}]",
-                     counted=task.remaining_deps,
-                     actual=indegree[task.task_id])
+                emit(f"task {view.names[index]!r} counts {declared} "
+                     f"pending deps but {actual} tasks point at it",
+                     location=f"task[{view.ids[index]}]",
+                     counted=declared, actual=actual)
             count += 1

@@ -4,8 +4,8 @@ Both inputs the deep verifier accepts — a live (not yet run)
 :class:`~repro.core.taskgraph.TaskGraphSimulator` and a recorded
 :class:`~repro.core.plan.ExtrapolationPlan` — are lowered into the same
 :class:`GraphView`: parallel per-task arrays with *both* edge directions
-materialized (plans store backward dep indices, live graphs store forward
-``dependents`` pointers; every whole-graph algorithm here needs both).
+materialized (plans store backward dep indices, live graphs forward CSR
+dependents; every whole-graph algorithm here needs both).
 
 On top of the view sit the whole-graph algorithms the DV rules share:
 Kahn reachability, SCC cycle extraction, dependency levels, critical-path
@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
+from repro.core.taskgraph import KIND_NAMES
 
 #: Task kinds a well-formed graph may contain.
 TASK_KINDS = ("compute", "transfer", "barrier")
@@ -124,36 +125,38 @@ class GraphView:
 
     @classmethod
     def from_simulator(cls, sim: Any) -> "GraphView":
-        """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`."""
+        """Lower a live :class:`~repro.core.taskgraph.TaskGraphSimulator`
+        from its columnar graph (tasks built with ``add_*`` are lowered
+        into it first).
+
+        Edges are the CSR dependents plus the fence rows' ``fence_link``
+        (terminal -> fence) and ``release`` (fence -> next roots) lists;
+        a released root's declared count includes its fence, which the
+        scheduler satisfies by starting it.
+        """
+        graph = sim.lower()
         view = cls()
         view.source = "taskgraph"
-        tasks = sim.tasks
-        view.n = len(tasks)
-        index_of: Dict[int, int] = {
-            id(task): index for index, task in enumerate(tasks)
-        }
-        for index, task in enumerate(tasks):
-            view.ids.append(task.task_id)
-            view.names.append(task.name)
-            view.kinds.append(task.kind)
-            view.gpus.append(task.gpu)
-            view.durations.append(task.duration)
-            view.srcs.append(task.src)
-            view.dsts.append(task.dst)
-            view.nbytes.append(task.nbytes)
-            view.metas.append(task.meta)
-            view.deps.append([])
-            view.dependents.append([])
-            view.declared.append(task.remaining_deps)
-            view.done.append(task.done)
-        for index, task in enumerate(tasks):
-            for dependent in task.dependents:
-                target = index_of.get(id(dependent))
-                if target is None:
-                    view.defects.append(
-                        (index, f"dependent {dependent.name!r} is not a "
-                                "task of this simulator"))
-                elif target == index:
+        n = view.n = graph.size
+        view.ids = list(range(n))
+        view.names = list(graph.name)
+        view.kinds = [KIND_NAMES[k] for k in graph.kind]
+        view.gpus = list(graph.gpu)
+        view.durations = list(graph.duration)
+        view.srcs = list(graph.src)
+        view.dsts = list(graph.dst)
+        view.nbytes = list(graph.nbytes)
+        view.metas = list(graph.meta)
+        view.declared = list(graph.indegree)
+        view.done = [end is not None for end in graph.end]
+        view.deps = [[] for _ in range(n)]
+        view.dependents = [[] for _ in range(n)]
+        for released in graph.release:
+            for target in released or ():
+                view.declared[target] += 1
+        for index in range(n):
+            for target in graph.successors(index):
+                if target == index:
                     view.defects.append((index, "task depends on itself"))
                 else:
                     view.dependents[index].append(target)

@@ -19,8 +19,9 @@ on three runtime invariants the static verifier cannot see:
 * **RC002 happens-before violation** — the executed order must be a
   linear extension of the task graph: no task may *start* before every
   dependency has *finished*.  Checked edge-by-edge at each dependency's
-  ``task_end`` hook (an epoch/vector-clock-lite formulation: each edge
-  is validated exactly once, O(edges) total, no per-task clock storage).
+  ``task_end`` hook, reading its dependents from the columnar graph's
+  CSR (an epoch/vector-clock-lite formulation: each edge is validated
+  exactly once, O(edges) total, no per-task clock storage).
 
 * **RC003 global-RNG drift** — strategy callbacks must not draw from the
   unseeded process-global ``random`` / NumPy generators (seeded local
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import random
 from typing import Any, Optional
+
+import numpy as np
 
 from repro.analysis.findings import Finding, Report
 from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
@@ -120,30 +123,39 @@ class TieOrderDetector:
 
 
 class HappensBeforeDetector:
-    """Task-graph hook verifying executed order extends the DAG order."""
+    """Task-graph hook verifying executed order extends the DAG order.
 
-    def __init__(self, report: Report):
+    A finished task's dependents are read from the simulator's columnar
+    graph (CSR dependents plus fence links and releases), so every
+    edge is checked whether the task was built with ``add_*`` or
+    instanced from a plan.
+    """
+
+    def __init__(self, report: Report, sim: Any):
         self.report = report
+        self.sim = sim
         self._fired = 0
 
     def func(self, ctx: HookCtx) -> None:
         if ctx.pos != "task_end":
             return
         task = ctx.item
-        for dependent in task.dependents:
-            if dependent.start_time is None:
+        graph = self.sim.columns
+        started = graph.start
+        for row in graph.successors(task.task_id):
+            if started[row] is None:
                 continue
             if self._fired < MAX_FINDINGS_PER_DETECTOR:
                 self._fired += 1
+                name = graph.name[row]
                 _emit(self.report, "RC002",
-                      f"task {dependent.name!r} started at "
-                      f"t={dependent.start_time:g} before its dependency "
-                      f"{task.name!r} finished at t={ctx.time:g} — the "
-                      "executed order is not a linear extension of the "
-                      "task graph",
-                      location=f"task[{dependent.task_id}]",
-                      task=dependent.name, dependency=task.name,
-                      started=dependent.start_time, finished=ctx.time)
+                      f"task {name!r} started at t={started[row]:g} "
+                      f"before its dependency {task.name!r} finished at "
+                      f"t={ctx.time:g} — the executed order is not a "
+                      "linear extension of the task graph",
+                      location=f"task[{row}]", task=name,
+                      dependency=task.name, started=started[row],
+                      finished=ctx.time)
 
 
 class RngDriftDetector:
@@ -155,11 +167,7 @@ class RngDriftDetector:
         self._numpy_digest: Optional[str] = None
 
     @staticmethod
-    def _numpy_state_digest() -> Optional[str]:
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dep
-            return None
+    def _numpy_state_digest() -> str:
         kind, keys, pos, has_gauss, gauss = np.random.get_state()
         return f"{kind}:{hash(keys.tobytes())}:{pos}:{has_gauss}:{gauss}"
 
@@ -218,7 +226,7 @@ class RaceDetectorSuite:
             engine.set_dispatch_observer(self._tie.observe)
             self._engine = engine
         if sim is not None and self.registry.is_enabled("RC002"):
-            self._happens = HappensBeforeDetector(self.report)
+            self._happens = HappensBeforeDetector(self.report, sim)
             sim.accept_hook(self._happens)
             self._sim = sim
         if self.registry.is_enabled("RC003"):

@@ -14,9 +14,10 @@ This module splits the pipeline accordingly:
   :meth:`build` records into a plan instead of a live simulator;
 * :class:`ExtrapolationPlan` is the recorded DAG — one iteration's tasks
   with dependency indices, content-keyed by :func:`plan_key`;
-* :meth:`ExtrapolationPlan.instantiate` replays the plan into a live
-  simulator (ID-offset structural clone plus fence wiring), bit-identical
-  to running the extrapolator directly, at a fraction of the cost;
+* :meth:`ExtrapolationPlan.instantiate_iterations_soa` tiles the plan
+  into a live simulator's columnar graph (ID-offset structural clone
+  plus fence rows), bit-identical to running the extrapolator directly,
+  at a fraction of the cost;
 * :class:`PlanCache` is a bounded in-process LRU with optional
   content-addressed on-disk persistence, so sweep points that differ only
   in network/fault parameters — and repeat sweeps, and pool workers —
@@ -29,7 +30,6 @@ per-GPU-slowdown, and iteration parameters: those apply at execute time.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import tempfile
@@ -41,7 +41,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import SimulationConfig
-from repro.core.taskgraph import SimTask, SoAGraph, TaskGraphSimulator
+from repro.core.taskgraph import (
+    KIND_CODES,
+    SOA_BARRIER,
+    SimTask,
+    SoAGraph,
+    TaskGraphSimulator,
+)
 from repro.trace.trace import Trace, trace_digest
 
 #: Bumped whenever the serialized plan format (or the meaning of a plan
@@ -191,7 +197,6 @@ class ExtrapolationPlan:
         self.tasks: Tuple[PlannedTask, ...] = tuple(tasks)
         self.key = key
         self.build_wall = build_wall
-        self._protos: Optional[list] = None
         self._soa_template: Optional[dict] = None
         has_dependents = [False] * len(self.tasks)
         for task in self.tasks:
@@ -207,125 +212,19 @@ class ExtrapolationPlan:
         return len(self.tasks)
 
     # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _prototypes(self) -> list:
-        """Per-task ``SimTask.__dict__`` templates, computed once per plan.
-
-        Instancing is the hot loop of a cached sweep (every point and
-        every iteration replays it), so the field layout is prepared here
-        and each instance is stamped out by a dict copy instead of a
-        dataclass constructor call.  ``meta`` dicts are shared between
-        instances — nothing mutates task metadata after creation.
-        """
-        protos = self._protos
-        if protos is None:
-            protos = []
-            for pt in self.tasks:
-                base = {
-                    "task_id": -1,
-                    "name": pt.name,
-                    "kind": pt.kind,
-                    "gpu": pt.gpu,
-                    "duration": pt.duration,
-                    "priority": pt.priority,
-                    "src": pt.src,
-                    "dst": pt.dst,
-                    "nbytes": pt.nbytes,
-                    "meta": pt.meta,
-                    "remaining_deps": len(pt.deps),
-                    "dependents": None,
-                    "start_time": None,
-                    "end_time": None,
-                }
-                gpu = pt.gpu if pt.kind == "compute" else None
-                protos.append((base, pt.deps, gpu))
-            self._protos = protos
-        return protos
-
-    def instantiate(self, sim: TaskGraphSimulator) -> List[SimTask]:
-        """Replay the plan into *sim*; returns the created tasks.
-
-        Semantically identical to the extrapolator's ``build(sim)``: task
-        IDs continue *sim*'s counter, per-GPU ``compute_scale`` applies to
-        compute durations, and an open fence becomes an implicit
-        dependency of every created task — so a cold build and an
-        instanced plan produce bit-identical simulations.
-        """
-        ids = sim._ids
-        scale = sim.compute_scale
-        fence = sim._fence
-        fence_dependents = fence.dependents if fence is not None else None
-        created: List[SimTask] = []
-        append_created = created.append
-        new = SimTask.__new__
-        cls = SimTask
-        for base, deps, gpu in self._prototypes():
-            task = new(cls)
-            fields = dict(base)
-            task.__dict__ = fields
-            fields["task_id"] = next(ids)
-            fields["dependents"] = []
-            if gpu is not None and scale:
-                # x * 1.0 is bit-identical to x, so the empty-scale fast
-                # path matches the extrapolator's unconditional multiply.
-                fields["duration"] = base["duration"] * scale.get(gpu, 1.0)
-            if fence_dependents is not None:
-                fields["remaining_deps"] += 1
-                fence_dependents.append(task)
-            for dep in deps:
-                created[dep].dependents.append(task)
-            append_created(task)
-        sim.tasks.extend(created)
-        sim._unfinished += len(created)
-        return created
-
-    def terminals(self, created: Sequence[SimTask]) -> List[SimTask]:
-        """The fence dependencies of one instance: its terminal tasks."""
-        return [created[i] for i in self.terminal_ids]
-
-    def instantiate_iterations(self, sim: TaskGraphSimulator, count: int,
-                               start: int = 0) -> List[SimTask]:
-        """Instance *count* consecutive training iterations into *sim*.
-
-        The single multi-iteration construction loop shared by the
-        unfolded path, the folded path's warm-up, and the not-steady
-        fallback: every iteration numbered ``>= 1`` is preceded by an
-        inter-iteration fence named ``iteration{i}`` (numbering continues
-        from *start*, so a continuation span keeps the fence names the
-        all-upfront build would have used).  When a span opens on an
-        already-drained graph the fence's terminals are all done and
-        :meth:`TaskGraphSimulator.fence_from` falls back to the previous
-        fence — the continuation then replays the schedule the all-
-        upfront build would have produced, at the same virtual times.
-
-        Returns the last instance's created tasks (the terminals feed of
-        a follow-up fence).
-        """
-        created: Optional[List[SimTask]] = None
-        for index in range(start, start + count):
-            if index > 0:
-                terminals = self.terminals(created) if created else []
-                sim.fence_from(f"iteration{index}", terminals)
-            created = self.instantiate(sim)
-        return created if created is not None else []
-
-    # ------------------------------------------------------------------
-    # Columnar (structure-of-arrays) instancing
+    # Execution: columnar (structure-of-arrays) instancing
     # ------------------------------------------------------------------
     def soa_template(self) -> dict:
         """Plan-level columns and CSR dependents, computed once per plan.
 
         The dependents CSR row of task *d* lists its dependent indices in
-        ascending order — exactly the order :meth:`instantiate` appends
-        them to ``SimTask.dependents`` — so the columnar scheduler's
-        release walk is the object scheduler's walk, element for element.
+        ascending order — creation order — so a release walk starts
+        ready dependents in program order.
         """
         tpl = self._soa_template
         if tpl is None:
             tasks = self.tasks
             n = len(tasks)
-            codes = {"compute": 0, "transfer": 1, "barrier": 2}
             indeg = [len(t.deps) for t in tasks]
             deg = [0] * n
             edges = 0
@@ -345,7 +244,7 @@ class ExtrapolationPlan:
                     indices[fill[d]] = j
                     fill[d] += 1
             tpl = {
-                "kind": [codes[t.kind] for t in tasks],
+                "kind": [KIND_CODES[t.kind] for t in tasks],
                 "name": [t.name for t in tasks],
                 "gpu": [t.gpu if t.kind == "compute" else None
                         for t in tasks],
@@ -354,31 +253,35 @@ class ExtrapolationPlan:
                 "src": [t.src for t in tasks],
                 "dst": [t.dst for t in tasks],
                 "nbytes": [t.nbytes for t in tasks],
+                "meta": [t.meta for t in tasks],
                 "indeg": indeg,
                 "deg_np": np.asarray(deg, dtype=np.int64),
                 "indices_np": np.asarray(indices, dtype=np.int64),
                 "roots": [i for i, d in enumerate(indeg) if d == 0],
-                "uniform_priority": len({t.priority for t in tasks}) <= 1,
+                "priorities": {t.priority for t in tasks
+                               if t.kind == "compute"},
             }
             self._soa_template = tpl
         return tpl
 
     def instantiate_iterations_soa(self, sim: TaskGraphSimulator,
-                                   count: int) -> SoAGraph:
-        """Instance *count* iterations as one columnar (SoA) graph.
+                                   count: int = 1,
+                                   start: int = 0) -> SoAGraph:
+        """Append *count* training iterations to *sim*'s columnar graph.
 
-        The structure-of-arrays counterpart of
-        :meth:`instantiate_iterations`: instead of stamping out
-        :class:`SimTask` objects and wiring dependent lists, the plan's
-        CSR template is tiled across instances (numpy shift-and-concat)
-        and executed by :class:`repro.core.taskgraph.SoAGraph` — with
-        bit-identical dispatch.  Inter-iteration fences become single
-        rows whose ``release`` lists hold the next instance's roots; the
-        per-task implicit fence dependency the object path wires is
-        redundant there (non-root tasks also wait on within-instance
-        dependencies that cannot resolve before the fence) and is
-        elided.  Task ids advance *sim*'s counter exactly as the object
-        path would, so views carry the same ``task_id`` values.
+        The one instancing routine: the unfolded path instances every
+        iteration at once, the folded path one warm-up iteration per
+        call (draining between calls), and the not-steady fallback the
+        rest.  The plan's CSR template is tiled across instances (numpy
+        shift-and-concat).  Every iteration numbered ``>= 1`` (numbering
+        continues from *start*) is preceded by a fence row named
+        ``iteration{i}``: a single row waiting on the previous instance's
+        terminals, whose ``release`` lists the next instance's roots.  A
+        call that opens with a fence — a continuation — waits on the
+        previous call's terminals that have not finished (none, on a
+        drained graph, so the fence starts the next run); compute
+        durations take *sim*'s per-GPU ``compute_scale``.  Returns the
+        graph.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -386,103 +289,90 @@ class ExtrapolationPlan:
         n = len(self.tasks)
         if n and not self.terminal_ids:
             raise RuntimeError("plan has tasks but no terminals")
+        graph = sim.lower()
+        first = graph.size
         block = n + 1
-        total = count * block - 1
-        base = next(sim._ids)
-        sim._ids = itertools.count(base + total)
+        lead = 1 if start > 0 else 0
+        total = count * block - 1 + lead
+        sim._unfinished += total
         scale = sim.compute_scale
         durations = tpl["duration"]
         if scale:
-            # x * 1.0 is bit-identical to x: matches the object path's
-            # conditional multiply (compute tasks only).
+            # x * 1.0 is bit-identical to x: compute tasks only.
             durations = [d * scale.get(g, 1.0) if g is not None else d
                          for d, g in zip(durations, tpl["gpu"])]
         queues = [sim._gpus[g] if g is not None else None
                   for g in tpl["gpu"]]
         terminal_ids = self.terminal_ids
         roots = tpl["roots"]
-        plan_deg = tpl["deg_np"]
-        plan_indices = tpl["indices_np"]
         zero1 = np.zeros(1, dtype=np.int64)
-        row_t = list(range(n))
         none_row: list = [None] * n
         neg_row = [-1] * n
-        kind: list = []
-        name: list = []
-        gpu: list = []
-        dur: list = []
-        prio: list = []
-        src: list = []
-        dst: list = []
-        nb: list = []
-        queue: list = []
-        indegree: list = []
-        plan_row: list = []
-        release: list = []
-        fence_link: list = []
-        idx_blocks = []
-        deg_blocks = []
+        block_columns = {
+            "kind": tpl["kind"], "name": tpl["name"], "gpu": tpl["gpu"],
+            "duration": durations, "priority": tpl["priority"],
+            "src": tpl["src"], "dst": tpl["dst"], "nbytes": tpl["nbytes"],
+            "meta": tpl["meta"], "queue": queues, "indegree": tpl["indeg"],
+            "release": none_row, "views": none_row,
+        }
+        columns: Dict[str, list] = {c: [] for c in block_columns}
+        columns["fence_link"] = []
+        idx_blocks: List[np.ndarray] = []
+        deg_blocks: List[np.ndarray] = []
+        fences: List[SimTask] = []
+
+        def add_fence(row: int, index: int, waits: int) -> None:
+            fence = SimTask(row, f"iteration{index}", "barrier")
+            fences.append(fence)
+            for column, value in (
+                    ("kind", SOA_BARRIER), ("name", fence.name),
+                    ("gpu", None), ("duration", 0.0), ("priority", 0),
+                    ("src", None), ("dst", None), ("nbytes", 0.0),
+                    ("meta", fence.meta), ("queue", None),
+                    ("indegree", waits),
+                    ("release", [row + 1 + r for r in roots]),
+                    ("fence_link", -1), ("views", fence)):
+                columns[column].append(value)
+            idx_blocks.append(zero1[:0])
+            deg_blocks.append(zero1)
+
+        off = first
+        if lead:
+            waits = [t for t in graph.tail_terminals if graph.end[t] is None]
+            for t in waits:
+                graph.fence_link[t] = off
+            if not waits:
+                graph.entry_roots.append(off)
+            add_fence(off, start, len(waits))
+            off += 1
+        else:
+            graph.entry_roots.extend(off + r for r in roots)
         for i in range(count):
-            off = i * block
-            kind.extend(tpl["kind"])
-            name.extend(tpl["name"])
-            gpu.extend(tpl["gpu"])
-            dur.extend(durations)
-            prio.extend(tpl["priority"])
-            src.extend(tpl["src"])
-            dst.extend(tpl["dst"])
-            nb.extend(tpl["nbytes"])
-            queue.extend(queues)
-            indegree.extend(tpl["indeg"])
-            plan_row.extend(row_t)
-            release.extend(none_row)
-            idx_blocks.append(plan_indices + off)
-            deg_blocks.append(plan_deg)
+            for column, values in block_columns.items():
+                columns[column].extend(values)
+            idx_blocks.append(tpl["indices_np"] + off)
+            deg_blocks.append(tpl["deg_np"])
             if i < count - 1:
-                fence_tid = off + n
                 link = neg_row.copy()
                 for t in terminal_ids:
-                    link[t] = fence_tid
-                fence_link.extend(link)
-                kind.append(2)
-                name.append(f"iteration{i + 1}")
-                gpu.append(None)
-                dur.append(0.0)
-                prio.append(0)
-                src.append(None)
-                dst.append(None)
-                nb.append(0.0)
-                queue.append(None)
-                indegree.append(len(terminal_ids))
-                plan_row.append(-1)
-                next_off = off + block
-                release.append([next_off + r for r in roots])
-                fence_link.append(-1)
-                idx_blocks.append(zero1[:0])
-                deg_blocks.append(zero1)
+                    link[t] = off + n
+                columns["fence_link"].extend(link)
+                add_fence(off + n, start + i + 1, len(terminal_ids))
+                off += block
             else:
-                fence_link.extend(neg_row)
-        degrees = np.concatenate(deg_blocks) if deg_blocks else zero1[:0]
-        indices_np = (np.concatenate(idx_blocks) if idx_blocks
-                      else zero1[:0])
-        indptr_np = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr_np[1:])
-        graph = SoAGraph(
-            base=base, kind=kind, name=name, gpu=gpu, duration=dur,
-            priority=prio, src=src, dst=dst, nbytes=nb, queue=queue,
-            indegree=indegree, indptr=indptr_np.tolist(),
-            indices=indices_np.tolist(), fence_link=fence_link,
-            release=release, plan_row=plan_row,
-            protos=self._prototypes, entry_roots=list(roots),
-            uniform_priority=tpl["uniform_priority"],
-        )
-        sim.adopt_soa(graph)
-        for i in range(1, count):
-            fence_tid = i * block - 1
-            fence = SimTask(base + fence_tid, f"iteration{i}", "barrier")
-            graph.views[fence_tid] = fence
-            sim.fences.append(fence)
+                columns["fence_link"].extend(neg_row)
+        graph.tail_terminals = [off + t for t in terminal_ids]
+        indptr = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(deg_blocks), out=indptr[1:])
+        columns["indices"] = np.concatenate(idx_blocks).tolist()
+        graph.append(columns, indptr.tolist(), tpl["priorities"])
+        graph.objects.extend(f.task_id for f in fences)
+        sim.fences.extend(fences)
         return graph
+
+    # The same entry point under the names external tooling (the
+    # benchmark's per-layer tracer) wraps instancing by.
+    instantiate = instantiate_iterations = instantiate_iterations_soa
 
     # ------------------------------------------------------------------
     # Serialization (the on-disk persistence format)

@@ -123,23 +123,7 @@ class TrioSim:
                  plan: ExtrapolationPlan = None,
                  plan_cache: PlanCache = None, verify: bool = False,
                  heartbeat=None, heartbeat_every: int = 4096,
-                 scheduler: str = "auto", profile_engine: bool = False):
-        if scheduler not in ("auto", "soa", "object"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; "
-                "expected 'auto', 'soa', or 'object'"
-            )
-        if scheduler == "soa" and (sanitize or verify):
-            raise ValueError(
-                "--sanitize/--verify walk the object task graph; use "
-                "scheduler='auto' (they fall back to the object "
-                "scheduler automatically)"
-            )
-        #: Exact-path scheduler choice: ``auto`` runs the columnar
-        #: (structure-of-arrays) core except under sanitize/verify,
-        #: ``object`` forces the per-task object walk (the differential
-        #: benchmark's reference arm), ``soa`` asserts the columnar core.
-        self.scheduler = scheduler
+                 profile_engine: bool = False):
         #: When true the engine runs its instrumented loop and the
         #: result's profile gains ``engine.queue_ops`` /
         #: ``engine.handler`` / ``engine.hook_overhead`` sub-phases —
@@ -404,16 +388,8 @@ class TrioSim:
                    engine: Engine, network, sim: TaskGraphSimulator,
                    recorder, started: float) -> SimulationResult:
         """The exact event-by-event path (every iteration fully simulated)."""
-        # The columnar (SoA) scheduler is dispatch-identical to the
-        # object walk; sanitize/verify need the object graph (their
-        # rules read SimTask.dependents), so they keep the object path.
-        use_soa = (self.scheduler != "object"
-                   and not self.sanitize and not self.verify)
         with profiler.phase("instancing"):
-            if use_soa:
-                plan.instantiate_iterations_soa(sim, self.config.iterations)
-            else:
-                plan.instantiate_iterations(sim, self.config.iterations)
+            plan.instantiate_iterations_soa(sim, self.config.iterations)
         profiler.count("plan_instances", self.config.iterations)
         profiler.count("plan_tasks", len(plan))
         injector = None
@@ -493,16 +469,12 @@ class TrioSim:
         """
         cfg = self.config
         warmup = cfg.fold_warmup
-        created = None
         boundaries = []   # end time of each simulated iteration
         durations = []
         before = None
         for index in range(warmup):
             with profiler.phase("instancing"):
-                if index:
-                    sim.fence_from(f"iteration{index}",
-                                   plan.terminals(created))
-                created = plan.instantiate(sim)
+                plan.instantiate_iterations_soa(sim, 1, start=index)
             if index == warmup - 1:
                 before = self._fold_snapshot(sim, network, recorder)
             with profiler.phase("engine"):
@@ -521,7 +493,7 @@ class TrioSim:
         if not settled:
             profiler.fold_status = "not-steady"
             with profiler.phase("instancing"):
-                plan.instantiate_iterations(sim, folded, start=warmup)
+                plan.instantiate_iterations_soa(sim, folded, start=warmup)
             profiler.count("plan_instances", folded)
             with profiler.phase("engine"):
                 total = sim.run()

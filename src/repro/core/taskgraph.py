@@ -19,7 +19,6 @@ being an analytical correction.
 from __future__ import annotations
 
 import inspect
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -33,6 +32,8 @@ HOOK_TASK_END = "task_end"
 
 #: Kind codes of the columnar (structure-of-arrays) scheduler.
 SOA_COMPUTE, SOA_TRANSFER, SOA_BARRIER = 0, 1, 2
+KIND_NAMES = ("compute", "transfer", "barrier")
+KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
 @dataclass
@@ -63,12 +64,8 @@ class SimTask:
 
 
 class _GPUQueue:
-    """FIFO compute queue of one GPU: one task in flight at a time.
-
-    The object scheduler stores :class:`SimTask` entries; the columnar
-    scheduler stores integer task ids.  Both use ``running is None`` as
-    the idle test and accumulate ``busy_time`` identically.
-    """
+    """FIFO compute queue of one GPU: one task (row id) in flight at a
+    time."""
 
     def __init__(self):
         self.ready: list = []
@@ -77,85 +74,136 @@ class _GPUQueue:
 
 
 class SoAGraph:
-    """Columnar (structure-of-arrays) execution state for one run.
+    """Columnar (structure-of-arrays) execution state of one simulator.
 
-    Built by :meth:`repro.core.plan.ExtrapolationPlan.
-    instantiate_iterations_soa` and installed with
-    :meth:`TaskGraphSimulator.adopt_soa`.  Columns are indexed by *local*
-    task id (global ``task_id`` is ``base + local id``); dependents are
-    CSR (``indptr``/``indices``), dependency counts live in ``indegree``.
-    The plan-level arrays are tiled with numpy and then materialized as
-    plain lists: CPython list indexing beats per-element numpy access in
-    the scalar dispatch loop, while construction stays vectorized.
+    Every task the simulator runs is a row: blocks of rows are appended
+    by :meth:`repro.core.plan.ExtrapolationPlan.
+    instantiate_iterations_soa` and by :meth:`TaskGraphSimulator.lower`
+    (which lowers tasks built with ``add_*``).  A row's index is its
+    ``task_id``; dependents are CSR (``indptr``/``indices``), dependency
+    counts live in ``indegree``.  Columns are plain lists: CPython list
+    indexing beats per-element numpy access in the scalar dispatch loop.
 
     Inter-iteration fences are single rows: each terminal of instance
     *i* carries a ``fence_link`` to its fence, and the fence's
     ``release`` entry lists the next instance's root tasks — so a fence
     completing releases an iteration in O(roots) instead of walking
-    every task of the instance the way the object scheduler's dependent
-    lists do (the walk order is provably identical: non-root tasks hold
-    within-instance dependencies and cannot start before a root chain
-    reaches them).
+    every task of the instance (non-root tasks hold within-instance
+    dependencies and cannot start before a root chain reaches them).
 
     :class:`SimTask` views are materialized lazily — only when hooks
-    need an object to observe — and mirror the columns' start/end
-    times, so observers see exactly what the object scheduler shows.
+    need an object to observe — from the columns; lowered ``add_*``
+    tasks and plan fences are their own views, and get their start and
+    end times written back after every drain.
     """
 
-    __slots__ = ("base", "kind", "name", "gpu", "duration", "priority",
-                 "src", "dst", "nbytes", "queue", "indegree", "indptr",
-                 "indices", "fence_link", "release", "plan_row", "protos",
-                 "entry_roots", "uniform_priority", "start", "end",
-                 "views", "batched_send", "size")
+    __slots__ = ("kind", "name", "gpu", "duration", "priority", "src",
+                 "dst", "nbytes", "meta", "queue", "indegree", "indptr",
+                 "indices", "fence_link", "release", "start", "end",
+                 "views", "size", "entry_roots", "objects",
+                 "tail_terminals", "priorities", "uniform_priority",
+                 "batched_send")
 
-    def __init__(self, base, kind, name, gpu, duration, priority, src,
-                 dst, nbytes, queue, indegree, indptr, indices,
-                 fence_link, release, plan_row, protos, entry_roots,
-                 uniform_priority):
-        self.base = base
-        self.kind = kind
-        self.name = name
-        self.gpu = gpu
-        self.duration = duration
-        self.priority = priority
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.queue = queue
-        self.indegree = indegree
-        self.indptr = indptr
-        self.indices = indices
-        self.fence_link = fence_link
-        self.release = release
-        self.plan_row = plan_row
-        self.protos = protos
-        self.entry_roots = entry_roots
-        self.uniform_priority = uniform_priority
-        self.size = len(kind)
-        self.start: list = [None] * self.size
-        self.end: list = [None] * self.size
-        self.views: list = [None] * self.size
+    def __init__(self, batched_send: bool = False):
+        self.kind: list = []
+        self.name: list = []
+        self.gpu: list = []
+        self.duration: list = []
+        self.priority: list = []
+        self.src: list = []
+        self.dst: list = []
+        self.nbytes: list = []
+        self.meta: list = []
+        self.queue: list = []
+        self.indegree: list = []
+        self.fence_link: list = []
+        self.release: list = []
+        self.start: list = []
+        self.end: list = []
+        self.views: list = []
+        self.indptr: list = [0]
+        self.indices: list = []
+        self.size = 0
+        #: Rows to start at the next :meth:`TaskGraphSimulator.run`.
+        self.entry_roots: list = []
+        #: Rows whose views are caller-visible objects (lowered tasks,
+        #: plan fences) awaiting the post-drain time write-back.
+        self.objects: list = []
+        #: Terminal rows of the last instanced plan block — what a
+        #: continuation's leading fence waits on.
+        self.tail_terminals: list = []
+        #: Distinct compute priorities; with at most one, dispatch picks
+        #: the lowest row id without a key function.
+        self.priorities: set = set()
+        self.uniform_priority = True
         #: Whether the network's ``send`` accepts ``pending=`` (delivery
         #: events appended for one bulk submission per release wave).
-        self.batched_send = False
+        self.batched_send = batched_send
+
+    #: Columns extended together by :meth:`append` (``indices`` holds
+    #: one entry per edge, the rest one per row).
+    _COLUMNS = ("kind", "name", "gpu", "duration", "priority", "src", "dst",
+                "nbytes", "meta", "queue", "indegree", "fence_link",
+                "release", "start", "end", "views", "indices")
+
+    def append(self, columns: dict, indptr: list, priorities: set) -> None:
+        """Append one block of rows.
+
+        *columns* maps each name in ``_COLUMNS`` to the block's values
+        (``start`` / ``end`` / ``views`` default to ``None`` rows; the
+        lists are adopted, not copied, when the graph is empty).
+        ``columns["indices"]`` holds the block's CSR targets as global
+        rows, *indptr* its local row pointers (starting at 0), and
+        *priorities* its distinct compute priorities.
+        """
+        count = len(columns["kind"])
+        for column in ("start", "end", "views"):
+            columns.setdefault(column, [None] * count)
+        if self.size:
+            for column in self._COLUMNS:
+                getattr(self, column).extend(columns[column])
+            edges = self.indptr[-1]
+            self.indptr.extend([p + edges for p in indptr[1:]])
+        else:
+            for column in self._COLUMNS:
+                setattr(self, column, columns[column])
+            self.indptr = indptr
+        self.size += count
+        self.priorities |= priorities
+        self.uniform_priority = len(self.priorities) <= 1
+
+    def successors(self, tid: int) -> list:
+        """Rows *tid*'s completion releases: its CSR dependents, then its
+        fence (a terminal) or the roots it releases (a fence)."""
+        out = self.indices[self.indptr[tid]:self.indptr[tid + 1]]
+        link = self.fence_link[tid]
+        if link >= 0:
+            out.append(link)
+        elif self.release[tid] is not None:
+            out.extend(self.release[tid])
+        return out
 
     def view(self, tid: int) -> SimTask:
         """The lazily-materialized :class:`SimTask` view of *tid*."""
         task = self.views[tid]
         if task is None:
-            # protos is a zero-arg callable (the plan's cached prototype
-            # builder): hookless runs never materialize a view, so the
-            # prototype table is only ever built on the first view.
-            base, _deps, _gpu = self.protos()[self.plan_row[tid]]
             task = SimTask.__new__(SimTask)
-            fields = dict(base)
-            fields["task_id"] = self.base + tid
-            fields["duration"] = self.duration[tid]
-            fields["dependents"] = []
-            fields["remaining_deps"] = 0
-            fields["start_time"] = self.start[tid]
-            fields["end_time"] = self.end[tid]
-            task.__dict__ = fields
+            task.__dict__ = {
+                "task_id": tid,
+                "name": self.name[tid],
+                "kind": KIND_NAMES[self.kind[tid]],
+                "gpu": self.gpu[tid],
+                "duration": self.duration[tid],
+                "priority": self.priority[tid],
+                "src": self.src[tid],
+                "dst": self.dst[tid],
+                "nbytes": self.nbytes[tid],
+                "meta": self.meta[tid],
+                "remaining_deps": 0,
+                "dependents": [],
+                "start_time": self.start[tid],
+                "end_time": self.end[tid],
+            }
             self.views[tid] = task
         return task
 
@@ -164,17 +212,21 @@ class TaskGraphSimulator(Hookable):
     """Executes a task DAG over GPUs and a network model.
 
     Build the graph with :meth:`add_compute` / :meth:`add_transfer` /
-    :meth:`add_barrier`, then call :meth:`run`.  Dependencies are given at
-    creation time; a task becomes ready when all its dependencies finish.
+    :meth:`add_barrier` (or instance a plan into :attr:`columns`), then
+    call :meth:`run`.  Dependencies are given at creation time; a task
+    becomes ready when all its dependencies finish.  Every task runs on
+    the columnar scheduler: ``run`` first lowers the ``add_*`` tasks
+    into :attr:`columns`.
     """
 
     def __init__(self, engine: Engine, network: NetworkModel):
         super().__init__()
         self.engine = engine
         self.network = network
+        #: Tasks built with ``add_*`` (the caller's own objects).
         self.tasks: List[SimTask] = []
         self._gpus: Dict[str, _GPUQueue] = defaultdict(_GPUQueue)
-        self._ids = itertools.count()
+        self._lowered = 0
         self._unfinished = 0
         self._fence: Optional[SimTask] = None
         self.fences: List[SimTask] = []
@@ -187,19 +239,23 @@ class TaskGraphSimulator(Hookable):
         self.runtime_compute_scale: Optional[Callable[[str, float], float]] = None
         self.comm_task_time = 0.0
         self.comm_bytes = 0.0
-        self._soa: Optional[SoAGraph] = None
+        try:
+            batched = "pending" in inspect.signature(network.send).parameters
+        except (TypeError, ValueError):  # builtins / odd callables
+            batched = False
+        #: Every task of this simulator, as rows (see :class:`SoAGraph`).
+        self.columns = SoAGraph(batched_send=batched)
 
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
     def _new_task(self, name: str, kind: str,
                   deps: Sequence[SimTask], **fields) -> SimTask:
-        if self._soa is not None:
-            raise RuntimeError(
-                "this simulator executes a columnar (SoA) graph; object "
-                "tasks cannot be added to it"
-            )
-        task = SimTask(next(self._ids), name, kind, **fields)
+        lowered = self.columns.size
+        # Ids are rows: tasks awaiting lowering take the rows after the
+        # columnar graph's.
+        task = SimTask(lowered + len(self.tasks) - self._lowered, name, kind,
+                       **fields)
         live_deps = 0
         all_deps = list(deps)
         if self._fence is not None:
@@ -207,6 +263,12 @@ class TaskGraphSimulator(Hookable):
         for dep in all_deps:
             if dep.done:
                 continue
+            if dep.task_id < lowered:
+                raise RuntimeError(
+                    f"task {name!r} depends on {dep.name!r}, which is "
+                    "already lowered for execution and not finished; add "
+                    "its dependents before analysing or running the graph"
+                )
             dep.dependents.append(task)
             live_deps += 1
         task.remaining_deps = live_deps
@@ -220,22 +282,11 @@ class TaskGraphSimulator(Hookable):
         The fence completes when every task created so far has finished,
         and every task created *afterwards* implicitly depends on it.
         This is how multi-iteration training is simulated: one
-        extrapolated iteration per fence interval.
+        extrapolated iteration per fence interval.  With nothing left
+        to wait on, the fence falls back to the previous fence so
+        consecutive fences still order correctly.
         """
         terminals = [t for t in self.tasks if not t.dependents and not t.done]
-        return self.fence_from(name, terminals)
-
-    def fence_from(self, name: str, terminals: Sequence[SimTask]) -> SimTask:
-        """A :meth:`fence` whose wait-set is the given *terminals*.
-
-        The plan-instancing path knows each instance's terminal tasks
-        without scanning the whole graph, so inserting inter-iteration
-        fences stays O(terminals) instead of O(tasks) — with identical
-        semantics to :meth:`fence` (tasks created afterwards implicitly
-        depend on the fence; an empty wait-set falls back to the previous
-        fence so consecutive fences still order correctly).
-        """
-        terminals = [t for t in terminals if not t.done]
         previous_fence = self._fence
         self._fence = None  # the fence itself only depends on terminals
         fence = self.add_barrier(name, deps=terminals or
@@ -273,126 +324,94 @@ class TaskGraphSimulator(Hookable):
         """A zero-cost join node."""
         return self._new_task(name, "barrier", deps, meta=meta)
 
+    def lower(self) -> SoAGraph:
+        """Lower the ``add_*`` tasks built since the last call into
+        :attr:`columns` and return the columnar graph.
+
+        ``indegree`` is each task's ``remaining_deps``, the CSR keeps the
+        order of its ``dependents`` list (so release order is creation
+        order), and the caller's :class:`SimTask` objects become the
+        rows' views.  Tasks with no pending dependency start at the next
+        :meth:`run`.
+        """
+        graph = self.columns
+        tasks = self.tasks[self._lowered:]
+        if not tasks:
+            return graph
+        self._lowered = len(self.tasks)
+        first = graph.size
+        end = first + len(tasks)
+        indptr = [0]
+        indices: list = []
+        for task in tasks:
+            for dependent in task.dependents:
+                row = dependent.task_id
+                known = (tasks[row - first] if first <= row < end
+                         else graph.views[row] if 0 <= row < first
+                         else None)
+                if known is not dependent:
+                    raise RuntimeError(
+                        f"task {task.name!r} lists {dependent.name!r} as a "
+                        "dependent, but it is not a task of this simulator")
+                indices.append(row)
+            indptr.append(len(indices))
+        gpus = [t.gpu if t.kind == "compute" else None for t in tasks]
+        graph.append({
+            "kind": [KIND_CODES[t.kind] for t in tasks],
+            "name": [t.name for t in tasks],
+            "gpu": gpus,
+            "duration": [t.duration for t in tasks],
+            "priority": [t.priority for t in tasks],
+            "src": [t.src for t in tasks],
+            "dst": [t.dst for t in tasks],
+            "nbytes": [t.nbytes for t in tasks],
+            "meta": [t.meta for t in tasks],
+            "queue": [self._gpus[g] if g is not None else None
+                      for g in gpus],
+            "indegree": [t.remaining_deps for t in tasks],
+            "fence_link": [-1] * len(tasks),
+            "release": [None] * len(tasks),
+            "start": [t.start_time for t in tasks],
+            "end": [t.end_time for t in tasks],
+            "views": tasks,
+            "indices": indices,
+        }, indptr, {t.priority for t in tasks if t.kind == "compute"})
+        graph.objects.extend(range(first, end))
+        graph.entry_roots.extend(
+            first + i for i, t in enumerate(tasks)
+            if t.remaining_deps == 0 and not t.done)
+        return graph
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> float:
         """Dispatch the DAG; returns the finish time of the last task."""
-        if self._soa is not None:
-            return self._run_soa()
-        roots = [t for t in self.tasks if t.remaining_deps == 0 and not t.done]
-        for task in roots:
-            self._start(task)
-        self.engine.run()
-        if self._unfinished:
-            stuck = [t.name for t in self.tasks if not t.done][:10]
-            raise RuntimeError(
-                f"{self._unfinished} tasks never became ready "
-                f"(dependency cycle?); e.g. {stuck}"
-            )
-        return max((t.end_time for t in self.tasks), default=self.engine.now)
-
-    def _start(self, task: SimTask) -> None:
-        if task.kind == "compute":
-            queue = self._gpus[task.gpu]
-            queue.ready.append(task)
-            self._maybe_dispatch(task.gpu)
-        elif task.kind == "transfer":
-            task.start_time = self.engine.now
-            if self._hooks:
-                self.invoke_hooks(
-                    HookCtx(HOOK_TASK_START, self.engine.now, task))
-            self.network.send(task.src, task.dst, task.nbytes,
-                              lambda _t, tk=task: self._finish(tk), tag=task.name)
-        else:  # barrier
-            task.start_time = self.engine.now
-            # Complete via a zero-delay event to avoid unbounded recursion
-            # through long barrier chains.
-            self.engine.call_after(0.0, lambda _ev, tk=task: self._finish(tk))
-
-    def _maybe_dispatch(self, gpu: str) -> None:
-        queue = self._gpus[gpu]
-        if queue.running is not None or not queue.ready:
-            return
-        # Priority first, then creation order == program order.
-        task = min(queue.ready, key=lambda t: (t.priority, t.task_id))
-        queue.ready.remove(task)
-        queue.running = task
-        task.start_time = self.engine.now
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_START, self.engine.now, task))
-        duration = task.duration
-        if self.runtime_compute_scale is not None:
-            duration *= self.runtime_compute_scale(gpu, self.engine.now)
-        self.engine.call_after(duration, lambda _ev, tk=task: self._finish(tk))
-
-    def _finish(self, task: SimTask) -> None:
-        task.end_time = self.engine.now
-        self._unfinished -= 1
-        if self._hooks:
-            self.invoke_hooks(HookCtx(HOOK_TASK_END, self.engine.now, task))
-        if task.kind == "compute":
-            queue = self._gpus[task.gpu]
-            queue.busy_time += task.end_time - (task.start_time or 0.0)
-            queue.running = None
-            self._maybe_dispatch(task.gpu)
-        elif task.kind == "transfer":
-            self.comm_task_time += task.end_time - (task.start_time or 0.0)
-            self.comm_bytes += task.nbytes
-        for dependent in task.dependents:
-            dependent.remaining_deps -= 1
-            if dependent.remaining_deps == 0:
-                self._start(dependent)
-
-    # ------------------------------------------------------------------
-    # Columnar (SoA) execution
-    # ------------------------------------------------------------------
-    def adopt_soa(self, graph: SoAGraph) -> None:
-        """Install a columnar task graph as this simulator's DAG.
-
-        Exclusive with the object-graph builders: the simulator must
-        hold no object tasks and no open fence, and ``add_*`` calls
-        raise afterwards.  Dispatch decisions, hook firing positions,
-        and accounting are bit-identical to the object scheduler — the
-        differential engine benchmark pins the two paths' dispatch
-        digests equal.
-        """
-        if self._soa is not None:
-            raise RuntimeError("a columnar graph is already installed")
-        if self.tasks or self._fence is not None:
-            raise RuntimeError(
-                "cannot install a columnar graph on a simulator that "
-                "already holds object tasks"
-            )
-        try:
-            graph.batched_send = (
-                "pending" in inspect.signature(self.network.send).parameters)
-        except (TypeError, ValueError):  # builtins / odd callables
-            graph.batched_send = False
-        self._soa = graph
-        self._unfinished += graph.size
-
-    def _run_soa(self) -> float:
-        soa = self._soa
-        assert soa is not None
+        graph = self.lower()
+        roots, graph.entry_roots = graph.entry_roots, []
         pending: list = []
-        for tid in soa.entry_roots:
+        for tid in roots:
             self._start_soa(tid, pending)
         if pending:
             self.engine.schedule_bulk(pending)
         self.engine.run()
+        start, end, views = graph.start, graph.end, graph.views
+        for tid in graph.objects:
+            task = views[tid]
+            task.start_time = start[tid]
+            task.end_time = end[tid]
+        graph.objects = []
         if self._unfinished:
-            end = soa.end
-            stuck = [soa.name[t] for t in range(soa.size)
+            stuck = [graph.name[t] for t in range(graph.size)
                      if end[t] is None][:10]
             raise RuntimeError(
                 f"{self._unfinished} tasks never became ready "
                 f"(dependency cycle?); e.g. {stuck}"
             )
-        return max(soa.end) if soa.size else self.engine.now
+        return max(end) if graph.size else self.engine.now
 
     def _start_soa(self, tid: int, pending: list) -> None:
-        soa = self._soa
+        soa = self.columns
         kind = soa.kind[tid]
         if kind == SOA_COMPUTE:
             queue = soa.queue[tid]
@@ -416,8 +435,8 @@ class TaskGraphSimulator(Hookable):
             else:
                 # Networks without batched delivery schedule directly;
                 # flushing first keeps the event-creation order (and so
-                # the seq order) identical to the object scheduler's
-                # schedule-as-you-walk behaviour.
+                # the seq order) that of a schedule-as-you-walk
+                # dispatcher.
                 if pending:
                     self.engine.schedule_bulk(pending)
                     del pending[:]
@@ -435,10 +454,10 @@ class TaskGraphSimulator(Hookable):
         ready = queue.ready
         if not ready:
             return
-        soa = self._soa
+        soa = self.columns
         if soa.uniform_priority:
-            # min() over plain ints; ids ascend in creation order, so
-            # this is the object scheduler's (priority, task_id) key.
+            # min() over plain ints: row ids ascend in creation order,
+            # so this is the (priority, task_id) key.
             tid = min(ready)
         else:
             priority = soa.priority
@@ -459,7 +478,7 @@ class TaskGraphSimulator(Hookable):
             now + duration, lambda _ev, t=tid: self._finish_soa(t)))
 
     def _finish_soa(self, tid: int) -> None:
-        soa = self._soa
+        soa = self.columns
         now = self.engine._now
         soa.end[tid] = now
         self._unfinished -= 1
@@ -499,9 +518,6 @@ class TaskGraphSimulator(Hookable):
         else:
             release = soa.release[tid]
             if release is not None:
-                fence = soa.views[tid]
-                if fence is not None:
-                    fence.end_time = now
                 for rid in release:
                     self._start_soa(rid, pending)
         if pending:

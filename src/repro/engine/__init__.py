@@ -6,14 +6,10 @@ The engine is the substrate every other subsystem builds on.  It provides:
   virtual time and a handler.
 * :class:`~repro.engine.engine.Engine` — the event kernel: a priority queue
   of events, a virtual clock, and a run loop.
-* :class:`~repro.engine.component.Component` / :class:`Port` /
-  :class:`Connection` — message-passing building blocks for simulated
-  devices, mirroring the Akita Simulator Engine's abstractions.
 * :class:`~repro.engine.hooks.Hook` — observation points for monitoring and
   tracing (the AkitaRTM / Daisen analog).
 """
 
-from repro.engine.component import Component, Connection, Message, Port
 from repro.engine.engine import Engine
 from repro.engine.events import CallbackEvent, Event, EventHandler
 from repro.engine.hooks import Hook, HookCtx, Hookable
@@ -21,16 +17,12 @@ from repro.engine.monitor import Monitor, ProgressRecord
 
 __all__ = [
     "CallbackEvent",
-    "Component",
-    "Connection",
     "Engine",
     "Event",
     "EventHandler",
     "Hook",
     "HookCtx",
     "Hookable",
-    "Message",
     "Monitor",
-    "Port",
     "ProgressRecord",
 ]

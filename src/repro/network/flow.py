@@ -44,6 +44,7 @@ import math
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.engine.engine import Engine
 from repro.engine.events import CallbackEvent, Event
@@ -55,10 +56,6 @@ from repro.network.routing import (
     get_routing_strategy,
 )
 
-try:  # vectorized waterfill fast path; the scalar solver is always kept
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 _RATE_EPS = 1e-9
 
@@ -701,7 +698,7 @@ class FlowNetwork(Hookable):
                     if best is None or cap < best:
                         best = cap
                 return {flow.transfer_id: best}
-        if _np is not None and len(flows) >= _VECTOR_MIN_FLOWS:
+        if len(flows) >= _VECTOR_MIN_FLOWS:
             return self._maxmin_component_vector(flows)
         return self._maxmin_component_scalar(flows)
 
@@ -814,14 +811,14 @@ class FlowNetwork(Hookable):
                 flat.append(index)
         n_flows = len(flows)
         n_edges = len(caps)
-        lens = _np.asarray(route_lens, dtype=_np.int64)
-        flat_arr = _np.asarray(flat, dtype=_np.int64)
-        starts = _np.zeros(n_flows, dtype=_np.int64)
-        _np.cumsum(lens[:-1], out=starts[1:])
-        residual = _np.asarray(caps, dtype=_np.float64)
-        live = _np.bincount(flat_arr, minlength=n_edges)
-        rates = _np.zeros(n_flows, dtype=_np.float64)
-        frozen = _np.zeros(n_flows, dtype=bool)
+        lens = np.asarray(route_lens, dtype=np.int64)
+        flat_arr = np.asarray(flat, dtype=np.int64)
+        starts = np.zeros(n_flows, dtype=np.int64)
+        np.cumsum(lens[:-1], out=starts[1:])
+        residual = np.asarray(caps, dtype=np.float64)
+        live = np.bincount(flat_arr, minlength=n_edges)
+        rates = np.zeros(n_flows, dtype=np.float64)
+        frozen = np.zeros(n_flows, dtype=bool)
         unfrozen = n_flows
         while unfrozen:
             loaded = live > 0
@@ -832,11 +829,11 @@ class FlowNetwork(Hookable):
                     unfrozen=unfrozen,
                 )
                 break
-            delta = float(_np.min(residual[loaded] / live[loaded]))
+            delta = float(np.min(residual[loaded] / live[loaded]))
             residual[loaded] -= delta * live[loaded]
             saturated = loaded & (residual <= _RATE_EPS * max(delta, 1.0))
             rates[~frozen] += delta
-            newly = _np.bitwise_or.reduceat(saturated[flat_arr], starts)
+            newly = np.bitwise_or.reduceat(saturated[flat_arr], starts)
             newly &= ~frozen
             if not newly.any():
                 self._warn_allocator(
@@ -848,7 +845,7 @@ class FlowNetwork(Hookable):
                 break
             frozen |= newly
             unfrozen = int(n_flows - int(frozen.sum()))
-            live -= _np.bincount(flat_arr[_np.repeat(newly, lens)],
+            live -= np.bincount(flat_arr[np.repeat(newly, lens)],
                                  minlength=n_edges)
         return {flow.transfer_id: float(rates[i])
                 for i, flow in enumerate(flows)}

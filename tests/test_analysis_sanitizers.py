@@ -293,23 +293,20 @@ class TestTrioSimSanitize:
         assert sanitized_sim.sanitizer_report.ok
 
     def test_broken_extrapolator_rejected_pre_run(self, trace, monkeypatch):
-        from repro.core.plan import ExtrapolationPlan
-
         config = SimulationConfig(parallelism="ddp", num_gpus=2,
                                   topology="ring")
         sim = TrioSim(trace, config, sanitize=True)
-        original = ExtrapolationPlan.instantiate
+        original = TrioSim.build_plan
 
-        def bad_instantiate(plan, tg):
-            created = original(plan, tg)
-            # Introduce a dependency cycle after extrapolation.
-            a, b = tg.tasks[0], tg.tasks[1]
-            b.dependents.append(a)
-            a.remaining_deps += 1
-            return created
+        def broken_build(self):
+            plan = original(self)
+            # Introduce a dependency cycle after extrapolation: the first
+            # task also waits on a task that waits on it.
+            waiter = next(t for t in plan.tasks if 0 in t.deps)
+            plan.tasks[0].deps = (waiter.index,)
+            return plan
 
-        monkeypatch.setattr(ExtrapolationPlan, "instantiate",
-                            bad_instantiate)
+        monkeypatch.setattr(TrioSim, "build_plan", broken_build)
         with pytest.raises(AnalysisError) as excinfo:
             sim.run()
         assert "TG001" in str(excinfo.value)

@@ -135,3 +135,81 @@ class TestHooks:
         sim.run()
         assert ("task_start", "a") in events
         assert ("task_end", "a") in events
+
+
+class TestLowering:
+    """Graphs built with ``add_*`` run on the columnar scheduler."""
+
+    def test_rows_are_the_callers_tasks(self):
+        sim = _sim()
+        a = sim.add_compute("a", "gpu0", 1.0)
+        b = sim.add_transfer("b", "gpu0", "gpu1", 100.0, deps=[a])
+        graph = sim.lower()
+        assert graph.size == 2 and graph.views == [a, b]
+        assert graph.indegree == [0, 1]
+        assert graph.successors(0) == [1]
+        assert graph.entry_roots == [0]
+
+    def test_times_written_back_without_hooks(self):
+        sim = _sim()
+        a = sim.add_compute("a", "gpu0", 1.0)
+        fence = sim.fence("iteration1")
+        b = sim.add_compute("b", "gpu1", 2.0)
+        assert sim.run() == pytest.approx(3.0)
+        assert (a.start_time, a.end_time) == (0.0, 1.0)
+        assert fence.end_time == pytest.approx(1.0)
+        assert b.start_time == pytest.approx(1.0)
+
+    def test_dependent_of_lowered_unfinished_task_rejected(self):
+        sim = _sim()
+        a = sim.add_compute("a", "gpu0", 1.0)
+        sim.lower()
+        with pytest.raises(RuntimeError, match="already lowered"):
+            sim.add_compute("b", "gpu0", 1.0, deps=[a])
+
+    def test_foreign_dependent_rejected(self):
+        sim, other = _sim(), _sim()
+        a = sim.add_compute("a", "gpu0", 1.0)
+        a.dependents.append(other.add_compute("x", "gpu0", 1.0))
+        with pytest.raises(RuntimeError, match="not a task of this"):
+            sim.run()
+
+
+class TestPlanSegments:
+    """Continuation segments replay the all-upfront schedule."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        from repro import SimulationConfig, Tracer, TrioSim, get_gpu, get_model
+
+        trace = Tracer(get_gpu("A100")).trace(get_model("resnet18"),
+                                              batch_size=16)
+        return TrioSim(trace, SimulationConfig(parallelism="ddp",
+                                               num_gpus=2),
+                       record_timeline=False).build_plan()
+
+    def _fence_times(self, sim):
+        return [(f.name, f.task_id, f.end_time) for f in sim.fences]
+
+    def test_drained_segments_match_upfront(self, plan):
+        upfront = _sim(bandwidth=25e9)
+        plan.instantiate_iterations_soa(upfront, 3)
+        total = upfront.run()
+        segmented = _sim(bandwidth=25e9)
+        for index in range(3):
+            plan.instantiate_iterations_soa(segmented, 1, start=index)
+            end = segmented.run()
+        assert end == total
+        assert self._fence_times(segmented) == self._fence_times(upfront)
+        assert segmented.engine.dispatched_events == \
+            upfront.engine.dispatched_events
+
+    def test_undrained_continuation_waits_for_terminals(self, plan):
+        upfront = _sim(bandwidth=25e9)
+        plan.instantiate_iterations_soa(upfront, 2)
+        total = upfront.run()
+        queued = _sim(bandwidth=25e9)
+        plan.instantiate_iterations_soa(queued, 1)
+        plan.instantiate_iterations_soa(queued, 1, start=1)
+        assert queued.run() == total
+        assert self._fence_times(queued) == self._fence_times(upfront)

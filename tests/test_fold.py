@@ -330,8 +330,6 @@ class TestVectorWaterfill:
     @pytest.mark.parametrize("topology_name,n", [
         ("ring", 32), ("leaf_spine", 16), ("fat_tree_clos", 16)])
     def test_vector_waterfill_matches_scalar(self, topology_name, n):
-        if flow_mod._np is None:
-            pytest.skip("numpy unavailable")
         rng = random.Random(topology_name)
         topology = build_topology(topology_name, n, 25e9, 1e-6)
         network = FlowNetwork(Engine(), topology)
@@ -347,8 +345,6 @@ class TestVectorWaterfill:
         assert vector == scalar
 
     def test_dispatcher_threshold(self, monkeypatch):
-        if flow_mod._np is None:
-            pytest.skip("numpy unavailable")
         topology = build_topology("ring", 8, 25e9, 1e-6)
         network = FlowNetwork(Engine(), topology)
         flows = _synthetic_flows(
@@ -367,8 +363,6 @@ class TestVectorWaterfill:
 
     def test_end_to_end_sim_unchanged_by_vector_path(self, trace,
                                                      monkeypatch):
-        if flow_mod._np is None:
-            pytest.skip("numpy unavailable")
         config = SimulationConfig(parallelism="ddp", num_gpus=32,
                                   topology="ring", iterations=1)
         with_vector_threshold_4 = None

@@ -275,6 +275,32 @@ class TestRaceDetectors:
         assert "RC002" in rule_ids(report)
         assert "linear extension" in report.findings[0].message
 
+    def test_rc002_on_plan_instanced_columns(self, plan):
+        # Columnar rows carry no dependents list: the detector must read
+        # each finished task's dependents from the CSR.
+        sim, _, _ = make_sim(4)
+        graph = plan.instantiate_iterations_soa(sim, 2)
+        # A compute task waiting on a transfer: started at once, it runs
+        # long before the collective it depends on delivers.
+        eager = next(t.index for t in plan.tasks if t.kind == "compute"
+                     and any(plan.tasks[d].kind == "transfer"
+                             for d in t.deps))
+        graph.indegree[eager] = 0  # races ahead of its dependencies
+        graph.entry_roots.append(eager)
+        suite = RaceDetectorSuite().attach(sim=sim)
+        sim.run()
+        report = suite.finalize()
+        assert rule_ids(report) == {"RC002"}
+        names = {f.detail["task"] for f in report.findings}
+        assert names == {plan.tasks[eager].name}
+
+    def test_rc002_silent_on_clean_columns(self, plan):
+        sim, _, _ = make_sim(4)
+        plan.instantiate_iterations_soa(sim, 2)
+        suite = RaceDetectorSuite().attach(sim=sim)
+        sim.run()
+        assert suite.finalize().ok
+
     def test_rc003_global_rng_draw(self):
         suite = RaceDetectorSuite().attach()
         random.random()
