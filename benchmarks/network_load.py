@@ -1,10 +1,10 @@
 """Collective-heavy network load scenarios for the flow-model benchmarks.
 
-Shared by the Figure-14 benchmark, the incremental-allocator regression
-tests, and ``bench_to_json.py``.  Each scenario builds an engine + flow
-network + task graph, runs it, and reports the counters the optimization
-is measured by: engine event cancellations (heap churn), delivery
-reschedules, reallocations, and wall time.
+Shared by the Figure-14 benchmark and ``bench_to_json.py``.  Each
+scenario builds an engine + flow network + task graph, runs it, and
+reports the counters the allocator is measured by: engine event
+cancellations (heap churn), delivery reschedules, reallocations, and
+wall time.
 
 Two shapes are provided:
 
@@ -12,12 +12,11 @@ Two shapes are provided:
   every node of a multi-node cluster, staggered per node (nodes finish
   backward at slightly different times).  Traffic is node-local and
   mutually disjoint, so scoped reallocation never touches the other
-  nodes; the legacy dense allocator reschedules every in-flight flow in
-  the whole cluster at every wave boundary of every node.
+  nodes and no delivery is ever cancelled.
 * ``flat_ring_storm`` — overlapping whole-cluster ring all-reduces over
-  the same fabric.  Traffic is globally coupled (one contention
-  component), so this bounds the win when scoping cannot help and only
-  the cheaper solver and reduced scope bookkeeping remain.
+  the same fabric.  Traffic is globally coupled (contention components
+  of 2–7 flows at full scale), so scoping cannot help: a rate change
+  inside a component reschedules its in-flight deliveries.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ def _finish(engine: Engine, network: FlowNetwork,
 
 
 def hierarchical_buckets(num_gpus: int = 128, buckets: int = 4,
-                         nbytes: float = 32e6,
-                         incremental: bool = True) -> Dict:
+                         nbytes: float = 32e6) -> Dict:
     """Staggered node-local gradient-bucket all-reduces on a cluster."""
     if num_gpus % GPUS_PER_NODE:
         raise ValueError(f"num_gpus must be a multiple of {GPUS_PER_NODE}")
@@ -72,7 +70,7 @@ def hierarchical_buckets(num_gpus: int = 128, buckets: int = 4,
     engine = Engine()
     topology = multi_node(num_nodes, GPUS_PER_NODE,
                           intra_bandwidth=INTRA_BW, inter_bandwidth=INTER_BW)
-    network = FlowNetwork(engine, topology, incremental=incremental)
+    network = FlowNetwork(engine, topology)
     sim = TaskGraphSimulator(engine, network)
     for node, group in enumerate(node_groups(num_nodes, GPUS_PER_NODE)):
         for bucket in range(buckets):
@@ -86,8 +84,7 @@ def hierarchical_buckets(num_gpus: int = 128, buckets: int = 4,
 
 
 def flat_ring_storm(num_gpus: int = 64, buckets: int = 6,
-                    nbytes: float = 64e6,
-                    incremental: bool = True) -> Dict:
+                    nbytes: float = 64e6) -> Dict:
     """Overlapping whole-cluster ring all-reduces (one contention
     component: the adversarial case for scoped reallocation)."""
     if num_gpus % GPUS_PER_NODE:
@@ -95,7 +92,7 @@ def flat_ring_storm(num_gpus: int = 64, buckets: int = 6,
     engine = Engine()
     topology = multi_node(num_gpus // GPUS_PER_NODE, GPUS_PER_NODE,
                           intra_bandwidth=INTRA_BW, inter_bandwidth=INTER_BW)
-    network = FlowNetwork(engine, topology, incremental=incremental)
+    network = FlowNetwork(engine, topology)
     sim = TaskGraphSimulator(engine, network)
     gpus = gpu_names(num_gpus)
     for bucket in range(buckets):
@@ -110,26 +107,3 @@ SCENARIOS = {
     "flat_ring_storm": flat_ring_storm,
 }
 
-
-def compare_modes(scenario: str, **kwargs) -> Dict:
-    """Run one scenario under the legacy dense allocator and under the
-    incremental allocator; report both plus the derived ratios."""
-    build = SCENARIOS[scenario]
-    legacy = build(incremental=False, **kwargs)
-    incremental = build(incremental=True, **kwargs)
-    return {
-        "scenario": scenario,
-        "params": kwargs,
-        "legacy": legacy,
-        "incremental": incremental,
-        "identical_simulated_time": (
-            legacy["simulated_time_s"] == incremental["simulated_time_s"]
-        ),
-        "cancellation_reduction": (
-            legacy["cancellations"] / max(incremental["cancellations"], 1)
-        ),
-        "wall_speedup": (
-            legacy["wall_time_s"] / incremental["wall_time_s"]
-            if incremental["wall_time_s"] > 0 else float("inf")
-        ),
-    }

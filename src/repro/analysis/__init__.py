@@ -22,8 +22,8 @@ them:
   annotation) over live task graphs and cached extrapolation plans (the
   ``repro verify`` CLI and the ``--verify`` gates);
 * **runtime sanitizers** — :class:`SanitizerSuite` hooks time
-  monotonicity, link-capacity conservation, and event-heap hygiene into a
-  running simulation (the ``--sanitize`` flag);
+  monotonicity, the max-min fairness certificate, and event-heap hygiene
+  into a running simulation (the ``--sanitize`` flag);
 * **determinism race detectors** — :class:`RaceDetectorSuite` rides the
   engine/hook fast paths and certifies the bit-identical determinism
   contract (``RC`` rules: tie-order races, happens-before violations,
@@ -68,7 +68,7 @@ from repro.analysis.reporters import (
 from repro.analysis.sanitizers import (
     AllocatorWarningSanitizer,
     HeapLeakSanitizer,
-    LinkCapacitySanitizer,
+    MaxMinCertificate,
     SanitizerSuite,
     TimeMonotonicSanitizer,
 )
@@ -95,7 +95,7 @@ __all__ = [
     "Finding",
     "GraphView",
     "HeapLeakSanitizer",
-    "LinkCapacitySanitizer",
+    "MaxMinCertificate",
     "RaceDetectorSuite",
     "Report",
     "Rule",

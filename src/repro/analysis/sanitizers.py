@@ -7,9 +7,11 @@ corrupts results:
 
 * :class:`TimeMonotonicSanitizer` — virtual time must never run backwards
   across dispatched events (hooked on the engine);
-* :class:`LinkCapacitySanitizer` — after every bandwidth reallocation the
-  flow rates crossing each directed link must not exceed its capacity
-  (hooked on :class:`~repro.network.flow.FlowNetwork`);
+* :class:`MaxMinCertificate` — after every bandwidth reallocation the
+  active flows' rates must be max-min fair: no directed link
+  oversubscribed (SZ002) and every flow crossing a saturated link on
+  which no flow has a higher rate (SZ006), over routes made of topology
+  edges (hooked on :class:`~repro.network.flow.FlowNetwork`);
 * :class:`HeapLeakSanitizer` — after the run loop drains, no live events
   may remain queued and the cancelled-entry accounting must be consistent
   (a post-run check on the engine);
@@ -17,19 +19,18 @@ corrupts results:
   numerical-safety edges (progressive filling stalling without freezing a
   flow) must not pass silently (hooked on
   :data:`~repro.network.flow.HOOK_FLOW_WARNING`);
-* :class:`PathCapacitySanitizer` — every allocated flow must ride a
-  route that exists in the topology, and its rate must not exceed the
-  route's bottleneck capacity (path-capacity conservation — the
-  multi-path routing layer must never assemble a route whose links
-  cannot carry the allocated rate).
+* :class:`RestartConsistencySanitizer` — after a faulted run, fault
+  injection must have left no degraded link, stranded flow, or
+  unfinished task (a post-run check on the injector).
 
-:class:`SanitizerSuite` bundles all three behind ``--sanitize``: attach
-before :meth:`Engine.run`, call :meth:`finalize` after, read ``.report``.
+:class:`SanitizerSuite` bundles the SZ001–SZ006 rules behind
+``--sanitize``: attach before :meth:`Engine.run`, call :meth:`finalize`
+after, read ``.report``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Report
 from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
@@ -49,8 +50,9 @@ DEFAULT_REGISTRY.register(Rule(
 ))
 DEFAULT_REGISTRY.register(Rule(
     id="SZ002", name="link-capacity", category="runtime", severity="error",
-    description="Allocated flow rates over any directed link must not "
-                "exceed its bandwidth.",
+    description="Max-min certificate, feasibility: after a reallocation "
+                "the summed rates of the active flows over any directed "
+                "link must not exceed its live bandwidth.",
 ))
 DEFAULT_REGISTRY.register(Rule(
     id="SZ003", name="heap-leak", category="runtime", severity="error",
@@ -73,9 +75,10 @@ DEFAULT_REGISTRY.register(Rule(
 ))
 DEFAULT_REGISTRY.register(Rule(
     id="SZ006", name="path-capacity", category="runtime", severity="error",
-    description="Every allocated flow's route must consist of topology "
-                "edges, and its rate must not exceed the route's "
-                "bottleneck link capacity.",
+    description="Max-min certificate, bottleneck: after a reallocation "
+                "every active flow's route must consist of topology edges "
+                "and cross a saturated link on which no flow has a higher "
+                "rate.",
 ))
 
 
@@ -106,91 +109,93 @@ class TimeMonotonicSanitizer:
                   location=ctx.pos, time=time, previous=self._last)
 
 
-class LinkCapacitySanitizer:
-    """Hook asserting max-min allocation conserves link capacity.
+class MaxMinCertificate:
+    """Hook certifying that every reallocation leaves max-min fair rates.
 
-    Fires on :data:`~repro.network.flow.HOOK_FLOW_REALLOC`: sums the
-    allocated rate of every flow crossing each directed edge and compares
-    against the edge bandwidth (with a relative tolerance for the
-    allocator's progressive-filling arithmetic).
+    A rate vector is max-min fair exactly when it is feasible and every
+    flow has a *bottleneck*: a saturated link on its route on which no
+    flow has a higher rate.  Fires on
+    :data:`~repro.network.flow.HOOK_FLOW_REALLOC`, whose item is every
+    active flow, so one pass accumulates each directed link's load and
+    largest rate and a second pass checks both conditions:
+
+    * **SZ002** — no link's load exceeds its live bandwidth
+      × (1 + *rel_tolerance*);
+    * **SZ006** — every route edge is a topology edge, and every flow
+      crosses a link with load ≥ bandwidth × (1 − *rel_tolerance*) whose
+      largest rate is no more than the flow's own (within the same
+      tolerance).
+
+    *capacity* / *bottleneck* switch the two rules individually so the
+    registry can disable either.
     """
 
-    def __init__(self, report: Report, rel_tolerance: float = 1e-6):
+    def __init__(self, report: Report, rel_tolerance: float = 1e-6,
+                 capacity: bool = True, bottleneck: bool = True):
         self.report = report
         self.rel_tolerance = rel_tolerance
-        self._fired = 0
+        self.capacity = capacity
+        self.bottleneck = bottleneck
+        self._fired: Dict[str, int] = {}
+
+    def _flag(self, rule_id: str, message: str, location: str,
+              **detail: object) -> None:
+        fired = self._fired.get(rule_id, 0)
+        if fired < MAX_FINDINGS_PER_SANITIZER:
+            self._fired[rule_id] = fired + 1
+            _emit(self.report, rule_id, message, location=location, **detail)
 
     def func(self, ctx: HookCtx) -> None:
         if ctx.pos != HOOK_FLOW_REALLOC:
             return
         topology = ctx.detail["topology"]
-        loads = {}
+        time = ctx.time
+        load: Dict[Tuple[str, str], float] = {}
+        top: Dict[Tuple[str, str], float] = {}
+        routed = []
         for flow in ctx.item:
-            if flow.rate <= 0.0:
+            missing = next((edge for edge in flow.route
+                            if not topology.has_edge(*edge)), None)
+            if missing is not None:
+                if self.bottleneck:
+                    u, v = missing
+                    self._flag("SZ006",
+                               f"flow {flow.src}->{flow.dst} routed over "
+                               f"{u}->{v}, which is not a topology edge",
+                               f"edge {u}-{v}",
+                               src=flow.src, dst=flow.dst, time=time)
                 continue
+            rate = flow.rate
             for edge in flow.route:
-                loads[edge] = loads.get(edge, 0.0) + flow.rate
-        for (u, v), load in loads.items():
-            capacity = topology[u][v]["bandwidth"]
-            if load > capacity * (1.0 + self.rel_tolerance) + 1e-3:
-                if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                    self._fired += 1
-                    _emit(self.report, "SZ002",
-                          f"link {u}->{v} allocated {load:.6g} B/s over a "
-                          f"{capacity:.6g} B/s capacity at t={ctx.time:g}",
-                          location=f"edge {u}-{v}",
-                          load=load, capacity=capacity, time=ctx.time)
-
-
-class PathCapacitySanitizer:
-    """Hook asserting per-flow path-capacity conservation.
-
-    Fires on :data:`~repro.network.flow.HOOK_FLOW_REALLOC`: every solved
-    flow's route must consist of edges present in the topology (a
-    strategy returning a stale or fabricated path would corrupt the
-    allocator's incidence index), and the flow's allocated rate must not
-    exceed the smallest link capacity along its route — max-min fairness
-    can never hand one flow more than its path's bottleneck.
-    """
-
-    def __init__(self, report: Report, rel_tolerance: float = 1e-6):
-        self.report = report
-        self.rel_tolerance = rel_tolerance
-        self._fired = 0
-
-    def func(self, ctx: HookCtx) -> None:
-        if ctx.pos != HOOK_FLOW_REALLOC:
-            return
-        topology = ctx.detail["topology"]
-        for flow in ctx.item:
-            bottleneck = None
-            for u, v in flow.route:
-                if not topology.has_edge(u, v):
-                    if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                        self._fired += 1
-                        _emit(self.report, "SZ006",
-                              f"flow {flow.src}->{flow.dst} routed over "
-                              f"{u}->{v}, which is not a topology edge",
-                              location=f"edge {u}-{v}",
-                              src=flow.src, dst=flow.dst, time=ctx.time)
-                    bottleneck = None
-                    break
-                capacity = topology[u][v]["bandwidth"]
-                if bottleneck is None or capacity < bottleneck:
-                    bottleneck = capacity
-            if bottleneck is None or flow.rate <= 0.0:
-                continue
-            if flow.rate > bottleneck * (1.0 + self.rel_tolerance) + 1e-3:
-                if self._fired < MAX_FINDINGS_PER_SANITIZER:
-                    self._fired += 1
-                    _emit(self.report, "SZ006",
-                          f"flow {flow.src}->{flow.dst} allocated "
-                          f"{flow.rate:.6g} B/s over a path with "
-                          f"{bottleneck:.6g} B/s bottleneck at "
-                          f"t={ctx.time:g}",
-                          location=f"{flow.src}->{flow.dst}",
-                          rate=flow.rate, bottleneck=bottleneck,
-                          time=ctx.time)
+                load[edge] = load.get(edge, 0.0) + rate
+                if rate >= top.get(edge, 0.0):
+                    top[edge] = rate
+            routed.append(flow)
+        capacity = {(u, v): topology[u][v]["bandwidth"] for u, v in load}
+        if self.capacity:
+            over = 1.0 + self.rel_tolerance
+            for (u, v), value in load.items():
+                cap = capacity[(u, v)]
+                if value > cap * over:
+                    self._flag("SZ002",
+                               f"link {u}->{v} allocated {value:.6g} B/s "
+                               f"over a {cap:.6g} B/s capacity at "
+                               f"t={time:g}",
+                               f"edge {u}-{v}",
+                               load=value, capacity=cap, time=time)
+        if self.bottleneck:
+            under = 1.0 - self.rel_tolerance
+            for flow in routed:
+                highest = flow.rate / under
+                if not any(load[edge] >= capacity[edge] * under
+                           and top[edge] <= highest for edge in flow.route):
+                    self._flag("SZ006",
+                               f"flow {flow.src}->{flow.dst} at "
+                               f"{flow.rate:.6g} B/s crosses no saturated "
+                               f"link on which its rate is the largest at "
+                               f"t={time:g}: rates are not max-min fair",
+                               f"{flow.src}->{flow.dst}",
+                               rate=flow.rate, time=time)
 
 
 class AllocatorWarningSanitizer:
@@ -271,6 +276,11 @@ class RestartConsistencySanitizer:
 class SanitizerSuite:
     """All runtime sanitizers behind one attach/finalize pair.
 
+    Hooks the network with the max-min certificate (SZ002 + SZ006) and
+    the allocator-warning sanitizer (SZ004), and the engine with the
+    time-monotonic sanitizer (SZ001); SZ003 and SZ005 run in
+    :meth:`finalize`.  Every rule the registry disables is skipped.
+
     Usage::
 
         suite = SanitizerSuite()
@@ -284,8 +294,7 @@ class SanitizerSuite:
         self.registry = registry or DEFAULT_REGISTRY
         self.report = Report()
         self._time: Optional[TimeMonotonicSanitizer] = None
-        self._capacity: Optional[LinkCapacitySanitizer] = None
-        self._path: Optional[PathCapacitySanitizer] = None
+        self._certificate: Optional[MaxMinCertificate] = None
         self._allocator: Optional[AllocatorWarningSanitizer] = None
         self._injector: Any = None
         self._sim: Any = None
@@ -302,18 +311,17 @@ class SanitizerSuite:
             engine.accept_hook(self._time)
             self._attached.append((engine, self._time))
         if isinstance(network, FlowNetwork):
-            if self.registry.is_enabled("SZ002"):
-                self._capacity = LinkCapacitySanitizer(self.report)
-                network.accept_hook(self._capacity)
-                self._attached.append((network, self._capacity))
+            capacity = self.registry.is_enabled("SZ002")
+            bottleneck = self.registry.is_enabled("SZ006")
+            if capacity or bottleneck:
+                self._certificate = MaxMinCertificate(
+                    self.report, capacity=capacity, bottleneck=bottleneck)
+                network.accept_hook(self._certificate)
+                self._attached.append((network, self._certificate))
             if self.registry.is_enabled("SZ004"):
                 self._allocator = AllocatorWarningSanitizer(self.report)
                 network.accept_hook(self._allocator)
                 self._attached.append((network, self._allocator))
-            if self.registry.is_enabled("SZ006"):
-                self._path = PathCapacitySanitizer(self.report)
-                network.accept_hook(self._path)
-                self._attached.append((network, self._path))
         return self
 
     def finalize(self, engine: Optional[Engine] = None) -> Report:

@@ -26,15 +26,16 @@ model implements the paper's 4-step packet process (Figure 5):
 Path latency is paid once, up front: a flow joins the bandwidth allocation
 after its route latency elapses.
 
-Incremental allocation is behavior-preserving by construction: max-min
-fairness decomposes over connected components of the flow/link sharing
-graph, every component is always solved as an isolated problem (even when
-the whole active set is re-solved), and the component solver's output
-depends only on the component's flow set, routes, and capacities — never
-on iteration order or on what the rest of the network is doing.  The
-original dense allocator is kept as :meth:`FlowNetwork._maxmin_rates_reference`
-and a differential property test pins the two against each other (see
-``tests/test_network_incremental.py`` and ``docs/network.md``).
+Incremental allocation is exact, not an approximation: max-min fairness
+decomposes over connected components of the flow/link sharing graph, and
+the component solver's output depends only on the component's flow set,
+routes, and capacities — never on iteration order or on what the rest of
+the network is doing.  Its correctness is checked against the definition
+rather than a second solver: the max-min fairness certificate
+(:class:`~repro.analysis.sanitizers.MaxMinCertificate`, rules SZ002 and
+SZ006) asserts after a reallocation that no link is oversubscribed and
+that every flow crosses a saturated link on which it has the largest
+rate (see ``tests/test_network_incremental.py`` and ``docs/network.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import math
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
-import numpy as np
 
 from repro.engine.engine import Engine
 from repro.engine.events import CallbackEvent, Event
@@ -59,28 +59,12 @@ from repro.network.routing import (
 
 _RATE_EPS = 1e-9
 
-#: Component size at which the numpy waterfill takes over from the scalar
-#: solver.  Below it, array setup costs more than the dict loops save; the
-#: two paths produce bit-identical rates (see
-#: ``tests/test_fold.py::test_vector_waterfill_matches_scalar``), so the
-#: threshold is purely a speed knob.
-_VECTOR_MIN_FLOWS = 24
-
-#: Default allocation strategy for newly built networks: scoped component
-#: re-solves plus the rate-stability fast path.  Flip to ``False`` (or pass
-#: ``incremental=False``) to restore the legacy dense behavior — recompute
-#: every rate and reschedule every delivery on each flow start/finish —
-#: which the churn benchmarks use as their baseline.
-DEFAULT_INCREMENTAL = True
-
 #: Hook positions for observers.
 HOOK_FLOW_START = "flow_start"
 HOOK_FLOW_DELIVER = "flow_deliver"
-#: Fired after every bandwidth reallocation with the solved flow list and
-#: the topology in the detail — the link-capacity sanitizer's feed.  Under
-#: incremental allocation the list holds the re-solved contention
-#: component(s); component closure guarantees every user of every link
-#: those flows touch is present, so per-link rate sums stay complete.
+#: Fired after every bandwidth reallocation that re-solved at least one
+#: component, with every active flow as the item and the topology in the
+#: detail — the max-min certificate's feed.
 HOOK_FLOW_REALLOC = "flow_realloc"
 #: Fired when the allocator hits a numerical-safety edge (e.g. progressive
 #: filling failing to freeze any flow).  ``item`` is the warning message;
@@ -125,12 +109,6 @@ class FlowNetwork(Hookable):
         attributes (see :mod:`repro.network.topology`).  Links are full
         duplex: each undirected edge provides its bandwidth independently
         in both directions.
-    incremental:
-        ``True`` enables scoped reallocation and the rate-stability fast
-        path; ``False`` restores the legacy dense behavior (re-solve and
-        reschedule everything).  Defaults to :data:`DEFAULT_INCREMENTAL`.
-        The two knobs are also exposed separately as
-        :attr:`scoped_realloc` and :attr:`stable_rate_fastpath`.
     routing:
         A :class:`~repro.network.routing.RoutingStrategy` instance or
         registered strategy name choosing among equal-cost shortest paths
@@ -148,7 +126,6 @@ class FlowNetwork(Hookable):
     max_candidate_paths = 64
 
     def __init__(self, engine: Engine, topology: nx.Graph,
-                 incremental: Optional[bool] = None,
                  routing: Optional[Union[str, RoutingStrategy]] = None,
                  routing_seed: int = 0):
         super().__init__()
@@ -158,14 +135,6 @@ class FlowNetwork(Hookable):
             routing = get_routing_strategy(routing, seed=routing_seed)
         #: The active strategy instance, or ``None`` for legacy routing.
         self.routing: Optional[RoutingStrategy] = routing
-        if incremental is None:
-            incremental = DEFAULT_INCREMENTAL
-        #: Solve only the contention component(s) the joined/left flows
-        #: touch instead of the whole active set.
-        self.scoped_realloc = bool(incremental)
-        #: Keep the existing delivery event when a flow's solved rate is
-        #: exactly unchanged instead of cancelling and rescheduling it.
-        self.stable_rate_fastpath = bool(incremental)
         self._route_cache: Dict[Tuple[str, str], List[DirectedEdge]] = {}
         # Directed edge -> live capacity, shadowing the topology's edge
         # attribute.  networkx adjacency lookups build an AtlasView per
@@ -451,9 +420,6 @@ class FlowNetwork(Hookable):
                 flow.remaining = 0.0
             flow.last_update = now + delay
 
-    def _active_list(self) -> List["_Flow"]:
-        return list(self._active.values())
-
     # ------------------------------------------------------------------
     # Steps 2-3: allocation and progress updates
     # ------------------------------------------------------------------
@@ -507,20 +473,15 @@ class FlowNetwork(Hookable):
         changed and reschedule only the deliveries whose rate moved."""
         self.reallocations += 1
         now = self.engine._now
-        if self.scoped_realloc:
-            components = self._dirty_components()
-        else:
-            components = self._components(list(self._active.values()))
+        components = self._dirty_components()
         self._dirty.clear()
         if not components:
             return
-        solved: List[_Flow] = []
         pending: List[Event] = []
         for component in components:
             rates = self._maxmin_component(component)
             for flow in component:
                 self._apply_rate(flow, rates[flow.transfer_id], now, pending)
-            solved.extend(component)
         # One bulk insert for the whole reschedule wave (a collective can
         # move hundreds of deliveries at once).  Sequence numbers are
         # assigned in list order — the same order the per-flow heappushes
@@ -530,7 +491,7 @@ class FlowNetwork(Hookable):
             self.engine.schedule_bulk(pending)
         if self._hooks:
             self.invoke_hooks(HookCtx(
-                HOOK_FLOW_REALLOC, now, solved,
+                HOOK_FLOW_REALLOC, now, list(self._active.values()),
                 detail={"topology": self.topology},
             ))
 
@@ -540,8 +501,7 @@ class FlowNetwork(Hookable):
         reschedule onto *pending*, unless the rate is exactly unchanged
         (the fast path — the existing heap entry is already correct and
         stays put)."""
-        if (self.stable_rate_fastpath and rate == flow.rate
-                and flow.deliver_event is not None
+        if (rate == flow.rate and flow.deliver_event is not None
                 and not flow.deliver_event.cancelled):
             self.fastpath_hits += 1
             return
@@ -559,7 +519,7 @@ class FlowNetwork(Hookable):
                 # cancel-and-replace: mark_requeued orphans the old heap
                 # entry (skipped silently, never observed) and the bulk
                 # insert below stamps a fresh sequence number — the
-                # dispatch stream is bit-identical to the legacy path
+                # dispatch stream is bit-identical to cancel-and-replace
                 # with no throwaway event allocation.
                 self.engine.mark_requeued(event)
                 event.time = deliver_at
@@ -573,19 +533,18 @@ class FlowNetwork(Hookable):
             flow.deliver_event = None
 
     # ------------------------------------------------------------------
-    # Contention components (the incidence-index walks)
+    # Contention components (the incidence-index walk)
     # ------------------------------------------------------------------
     def _dirty_components(self) -> List[List[_Flow]]:
         """Contention components touched since the last solve, directly.
 
-        Fuses the old two-pass walk (closure over the incidence index,
-        then re-partition into components) into one BFS per component,
-        seeded from the users of each dirty edge.  Flows outside the
-        closure provably keep their rates: max-min fairness decomposes
-        over link-sharing components.  Emission order matches
-        :meth:`_components` on the closure exactly — components ascend
-        by their smallest member transfer-id, members ascend within —
-        which is the bit-identity anchor for scoped reallocation.
+        One BFS per component over the incidence index, seeded from the
+        users of each dirty edge.  Flows outside the closure provably
+        keep their rates: max-min fairness decomposes over link-sharing
+        components.  Emission order is canonical — components ascend by
+        their smallest member transfer-id, members ascend within — so a
+        component's solve never depends on which edges happened to be
+        dirty.
         """
         edge_users = self._edge_users
         active = self._active
@@ -630,53 +589,18 @@ class FlowNetwork(Hookable):
             keyed.sort(key=lambda kc: kc[0])
         return [component for _, component in keyed]
 
-    def _components(self, scope: List[_Flow]) -> List[List[_Flow]]:
-        """Partition *scope* into connected components of the link-sharing
-        graph, each in ascending transfer-id order (deterministic, and
-        identical whether the scope came from a dirty walk or the full
-        active set — the bit-identity anchor for scoped reallocation)."""
-        order = sorted(scope, key=lambda f: f.transfer_id)
-        components: List[List[_Flow]] = []
-        visited: Set[int] = set()
-        for flow in order:
-            if flow.transfer_id in visited:
-                continue
-            ids: Set[int] = {flow.transfer_id}
-            stack: List[_Flow] = [flow]
-            seen: Set[DirectedEdge] = set()
-            while stack:
-                current = stack.pop()
-                for edge in current.route:
-                    if edge in seen:
-                        continue
-                    seen.add(edge)
-                    for fid in self._edge_users.get(edge, ()):
-                        if fid not in ids:
-                            ids.add(fid)
-                            stack.append(self._active[fid])
-            visited |= ids
-            if len(ids) == 1:
-                # Disjoint flow — the overwhelmingly common case on
-                # multipath fabrics, where routing spreads flows so most
-                # share no link at any instant.
-                components.append([flow])
-            else:
-                components.append(sorted((self._active[fid] for fid in ids),
-                                         key=lambda f: f.transfer_id))
-        return components
-
     # ------------------------------------------------------------------
-    # Max-min solvers
+    # Max-min solver
     # ------------------------------------------------------------------
     def _maxmin_component(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Max-min rates for one contention component (progressive filling).
+        """Max-min rates for one contention component: counter-based
+        progressive filling.
 
-        Dispatches to the numpy waterfill for components of at least
-        :data:`_VECTOR_MIN_FLOWS` flows and to the scalar counter-based
-        solver otherwise.  The two are bit-identical: every float the
-        vector path produces comes from the same IEEE operations in the
-        same per-round order (the bottleneck ``min`` is over the same
-        value set, and ``min`` of floats is order-independent).
+        Per iteration: O(links) to find the bottleneck increment and update
+        residuals, plus O(route length) per newly frozen flow.  Output
+        depends only on the component's flow set, routes, and capacities,
+        never on iteration order, so re-solving an unchanged component
+        reproduces its rates bit-for-bit.
         """
         if len(flows) == 1:
             # An uncontended flow's progressive filling terminates after
@@ -698,21 +622,6 @@ class FlowNetwork(Hookable):
                     if best is None or cap < best:
                         best = cap
                 return {flow.transfer_id: best}
-        if len(flows) >= _VECTOR_MIN_FLOWS:
-            return self._maxmin_component_vector(flows)
-        return self._maxmin_component_scalar(flows)
-
-    def _maxmin_component_scalar(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Counter-based progressive filling over one contention component.
-
-        Per iteration: O(links) to find the bottleneck increment and update
-        residuals, plus O(route length) per newly frozen flow — the
-        per-edge live counters replace the reference solver's
-        O(links x flows) set intersections.  Output depends only on the
-        component's flow set, routes, and capacities, never on iteration
-        order, so re-solving an unchanged component reproduces its rates
-        bit-for-bit.
-        """
         bandwidth = self._bandwidth_cache
         residual: Dict[DirectedEdge, float] = {}
         users: Dict[DirectedEdge, List[int]] = {}
@@ -778,125 +687,6 @@ class FlowNetwork(Hookable):
             for fid in newly:
                 for edge in routes[fid]:
                     live[edge] -= 1
-        return rates
-
-    def _maxmin_component_vector(self, flows: List[_Flow]) -> Dict[int, float]:
-        """Array-backed progressive filling (the numpy waterfill).
-
-        Same algorithm as :meth:`_maxmin_component_scalar` with the
-        per-round dict loops replaced by array ops over a flat
-        edge-index array: residual/live updates are elementwise, the
-        bottleneck increment is ``min`` over the loaded edges, and the
-        freeze step is a segmented ``bitwise_or.reduceat`` over each
-        flow's route slice.  Bit-identity with the scalar solver is
-        pinned by a differential test; the warning edges emit the same
-        messages through :meth:`_warn_allocator`.
-        """
-        route_lens = [len(flow.route) for flow in flows]
-        if min(route_lens) == 0:  # pragma: no cover - active flows have wires
-            return self._maxmin_component_scalar(flows)
-        bandwidth = self._bandwidth_cache
-        edge_index: Dict[DirectedEdge, int] = {}
-        caps: List[float] = []
-        flat: List[int] = []  # edge indices, routes concatenated in flow order
-        for flow in flows:
-            for edge in flow.route:
-                index = edge_index.get(edge)
-                if index is None:
-                    index = edge_index[edge] = len(caps)
-                    cap = bandwidth.get(edge)
-                    if cap is None:
-                        cap = self.link_bandwidth(edge)
-                    caps.append(cap)
-                flat.append(index)
-        n_flows = len(flows)
-        n_edges = len(caps)
-        lens = np.asarray(route_lens, dtype=np.int64)
-        flat_arr = np.asarray(flat, dtype=np.int64)
-        starts = np.zeros(n_flows, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        residual = np.asarray(caps, dtype=np.float64)
-        live = np.bincount(flat_arr, minlength=n_edges)
-        rates = np.zeros(n_flows, dtype=np.float64)
-        frozen = np.zeros(n_flows, dtype=bool)
-        unfrozen = n_flows
-        while unfrozen:
-            loaded = live > 0
-            if not loaded.any():  # pragma: no cover - every flow loads an edge
-                self._warn_allocator(
-                    f"progressive filling found no loaded link with "
-                    f"{unfrozen} flow(s) unfrozen",
-                    unfrozen=unfrozen,
-                )
-                break
-            delta = float(np.min(residual[loaded] / live[loaded]))
-            residual[loaded] -= delta * live[loaded]
-            saturated = loaded & (residual <= _RATE_EPS * max(delta, 1.0))
-            rates[~frozen] += delta
-            newly = np.bitwise_or.reduceat(saturated[flat_arr], starts)
-            newly &= ~frozen
-            if not newly.any():
-                self._warn_allocator(
-                    f"progressive filling stalled: increment {delta!r} "
-                    f"saturated no link with {unfrozen} flow(s) "
-                    "unfrozen",
-                    delta=delta, unfrozen=unfrozen,
-                )
-                break
-            frozen |= newly
-            unfrozen = int(n_flows - int(frozen.sum()))
-            live -= np.bincount(flat_arr[np.repeat(newly, lens)],
-                                 minlength=n_edges)
-        return {flow.transfer_id: float(rates[i])
-                for i, flow in enumerate(flows)}
-
-    def _maxmin_rates_reference(self, flows: List[_Flow]) -> Dict[int, float]:
-        """The original dense allocator: one global progressive filling
-        over *flows* with per-iteration set intersections.
-
-        Kept verbatim as the differential-testing oracle — the property
-        test in ``tests/test_network_incremental.py`` checks the
-        per-component solver against it on randomized topologies and flow
-        sets.  Not used on the hot path.
-        """
-        residual: Dict[DirectedEdge, float] = {}
-        users: Dict[DirectedEdge, Set[int]] = {}
-        for flow in flows:
-            for edge in flow.route:
-                if edge not in residual:
-                    u, v = edge
-                    residual[edge] = self.topology[u][v]["bandwidth"]
-                    users[edge] = set()
-                users[edge].add(flow.transfer_id)
-        rates = {flow.transfer_id: 0.0 for flow in flows}
-        unfrozen = set(rates)
-        flow_routes = {f.transfer_id: f.route for f in flows}
-        while unfrozen:
-            delta = None
-            for edge, flow_ids in users.items():
-                live = len(flow_ids & unfrozen)
-                if live:
-                    candidate = residual[edge] / live
-                    if delta is None or candidate < delta:
-                        delta = candidate
-            if delta is None:
-                break
-            saturated: Set[DirectedEdge] = set()
-            for edge, flow_ids in users.items():
-                live = len(flow_ids & unfrozen)
-                if live:
-                    residual[edge] -= delta * live
-                    if residual[edge] <= _RATE_EPS * max(delta, 1.0):
-                        saturated.add(edge)
-            for fid in list(unfrozen):
-                rates[fid] += delta
-            frozen = {
-                fid for fid in unfrozen
-                if any(edge in saturated for edge in flow_routes[fid])
-            }
-            if not frozen:
-                break  # numerical safety; the live solver warns here
-            unfrozen -= frozen
         return rates
 
     def _warn_allocator(self, message: str, **detail) -> None:

@@ -11,7 +11,7 @@ from repro.analysis import (
     AllocatorWarningSanitizer,
     AnalysisError,
     HeapLeakSanitizer,
-    LinkCapacitySanitizer,
+    MaxMinCertificate,
     Report,
     SanitizerSuite,
     TimeMonotonicSanitizer,
@@ -73,6 +73,8 @@ class TestTimeMonotonic:
 
 
 class TestLinkCapacity:
+    """The max-min certificate: SZ002 (capacity) and SZ006 (bottleneck)."""
+
     @staticmethod
     def realloc_ctx(flows, topology, time=1.0):
         return HookCtx(HOOK_FLOW_REALLOC, time, flows,
@@ -80,13 +82,14 @@ class TestLinkCapacity:
 
     @staticmethod
     def flow(rate, route):
-        return types.SimpleNamespace(rate=rate, route=route)
+        return types.SimpleNamespace(rate=rate, route=route,
+                                     src=route[0][0], dst=route[-1][1])
 
     def test_silent_within_capacity(self):
         g = nx.Graph()
         g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
+        sanitizer = MaxMinCertificate(report)
         flows = [self.flow(50.0, [("gpu0", "gpu1")]),
                  self.flow(50.0, [("gpu0", "gpu1")])]
         sanitizer.func(self.realloc_ctx(flows, g))
@@ -96,7 +99,7 @@ class TestLinkCapacity:
         g = nx.Graph()
         g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
+        sanitizer = MaxMinCertificate(report)
         flows = [self.flow(80.0, [("gpu0", "gpu1")]),
                  self.flow(80.0, [("gpu0", "gpu1")])]
         sanitizer.func(self.realloc_ctx(flows, g))
@@ -105,7 +108,7 @@ class TestLinkCapacity:
 
     def test_ignores_other_positions(self):
         report = Report()
-        sanitizer = LinkCapacitySanitizer(report)
+        sanitizer = MaxMinCertificate(report)
         sanitizer.func(HookCtx("flow_start", 0.0, None))
         assert report.ok
 
@@ -116,13 +119,54 @@ class TestLinkCapacity:
         g = build_topology("ring", 4, 1e9, 1e-6)
         network = FlowNetwork(engine, g)
         report = Report()
-        network.accept_hook(LinkCapacitySanitizer(report))
+        network.accept_hook(MaxMinCertificate(report))
         done = []
         for i in range(4):
             network.send("gpu0", "gpu1", 1e6, lambda f: done.append(f))
         engine.run()
         assert len(done) == 4
         assert report.ok
+
+    def test_fires_on_flow_without_bottleneck(self):
+        # gpu0->gpu1 is saturated, but the flow at 40 is outranked there
+        # by the one at 60 and its other link gpu1->gpu2 has headroom:
+        # the 40 B/s flow could grow, so the rates are not max-min fair.
+        g = nx.path_graph(["gpu0", "gpu1", "gpu2"])
+        nx.set_edge_attributes(g, 100.0, "bandwidth")
+        report = Report()
+        sanitizer = MaxMinCertificate(report)
+        flows = [self.flow(60.0, [("gpu0", "gpu1")]),
+                 self.flow(40.0, [("gpu0", "gpu1"), ("gpu1", "gpu2")])]
+        sanitizer.func(self.realloc_ctx(flows, g))
+        assert report.rule_ids() == ["SZ006"]
+        assert "gpu0->gpu2" in report.findings[0].message
+
+    def test_rules_switch_individually(self):
+        g = nx.Graph()
+        g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
+        flows = [self.flow(80.0, [("gpu0", "gpu1")]),
+                 self.flow(80.0, [("gpu0", "gpu1")]),
+                 self.flow(10.0, [("gpu1", "gpu0")])]
+        report = Report()
+        MaxMinCertificate(report).func(self.realloc_ctx(flows, g))
+        assert sorted(report.rule_ids()) == ["SZ002", "SZ006"]
+        report = Report()
+        MaxMinCertificate(report, capacity=False).func(
+            self.realloc_ctx(flows, g))
+        assert report.rule_ids() == ["SZ006"]
+        report = Report()
+        MaxMinCertificate(report, bottleneck=False).func(
+            self.realloc_ctx(flows, g))
+        assert report.rule_ids() == ["SZ002"]
+
+    def test_route_off_the_topology_is_sz006(self):
+        g = nx.Graph()
+        g.add_edge("gpu0", "gpu1", bandwidth=100.0, latency=0.0)
+        report = Report()
+        MaxMinCertificate(report).func(self.realloc_ctx(
+            [self.flow(100.0, [("gpu0", "gpu2")])], g))
+        assert report.rule_ids() == ["SZ006"]
+        assert "not a topology edge" in report.findings[0].message
 
 
 class TestAllocatorWarning:
@@ -199,9 +243,9 @@ class TestSanitizerSuite:
         network = FlowNetwork(engine, build_topology("ring", 2, 1e9, 1e-6))
         suite = SanitizerSuite().attach(engine=engine, network=network)
         assert len(engine._hooks) == 1
-        # Link-capacity (SZ002), allocator-convergence (SZ004), and
-        # path-capacity (SZ006).
-        assert len(network._hooks) == 3
+        # The max-min certificate (SZ002 + SZ006) and
+        # allocator-convergence (SZ004).
+        assert len(network._hooks) == 2
         engine.run()
         report = suite.finalize(engine)
         assert report.ok

@@ -1,4 +1,4 @@
-"""Steady-state iteration folding and the vectorized hot loops.
+"""Steady-state iteration folding.
 
 The load-bearing properties:
 
@@ -10,16 +10,10 @@ The load-bearing properties:
   sanitize/verify, dynamic routing, ``fold=False``) takes the exact
   event-by-event path and produces results bit-identical to a run with
   folding disabled.
-* **Vector == scalar** — the numpy waterfill returns the exact same
-  rates as the scalar solver, so flipping the threshold never changes a
-  simulation bit.
 """
-
-import random
 
 import pytest
 
-import repro.network.flow as flow_mod
 from repro.analysis import lint_config
 from repro.core.config import SimulationConfig
 from repro.core.fold import (
@@ -33,7 +27,7 @@ from repro.core.simulator import TrioSim, iteration_times_from_fences
 from repro.engine.engine import Engine
 from repro.faults.spec import FaultSpec
 from repro.gpus.specs import get_gpu
-from repro.network.flow import FlowNetwork, _Flow
+from repro.network.flow import FlowNetwork
 from repro.network.topology import build_topology
 from repro.trace.tracer import Tracer
 from repro.workloads.registry import get_model
@@ -312,65 +306,6 @@ class TestIterationTimesFromFences:
         times = iteration_times_from_fences([2.0, 2.0], 6.0)
         assert times == [2.0, 0.0, 4.0]
         assert sum(times) == 6.0
-
-
-# ----------------------------------------------------------------------
-# Vectorized waterfill == scalar waterfill
-# ----------------------------------------------------------------------
-def _synthetic_flows(network, pairs):
-    flows = []
-    for index, (src, dst, nbytes) in enumerate(pairs):
-        flow = _Flow(index, src, dst, nbytes, lambda _t: None)
-        flow.route = network.route(src, dst)
-        flows.append(flow)
-    return flows
-
-
-class TestVectorWaterfill:
-    @pytest.mark.parametrize("topology_name,n", [
-        ("ring", 32), ("leaf_spine", 16), ("fat_tree_clos", 16)])
-    def test_vector_waterfill_matches_scalar(self, topology_name, n):
-        rng = random.Random(topology_name)
-        topology = build_topology(topology_name, n, 25e9, 1e-6)
-        network = FlowNetwork(Engine(), topology)
-        pairs = []
-        for _ in range(64):
-            src, dst = rng.sample(range(n), 2)
-            pairs.append((f"gpu{src}", f"gpu{dst}",
-                          float(rng.randint(1, 10**9))))
-        flows = _synthetic_flows(network, pairs)
-        scalar = network._maxmin_component_scalar(flows)
-        vector = network._maxmin_component_vector(flows)
-        # Exact equality, not approx: bit-identity is the contract.
-        assert vector == scalar
-
-    def test_dispatcher_threshold(self, monkeypatch):
-        topology = build_topology("ring", 8, 25e9, 1e-6)
-        network = FlowNetwork(Engine(), topology)
-        flows = _synthetic_flows(
-            network, [(f"gpu{i}", f"gpu{(i + 1) % 8}", 1e6)
-                      for i in range(8)])
-        calls = []
-        monkeypatch.setattr(
-            network, "_maxmin_component_vector",
-            lambda fl: calls.append(len(fl)) or
-            network._maxmin_component_scalar(fl))
-        network._maxmin_component(flows)          # below threshold: scalar
-        assert calls == []
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 4)
-        network._maxmin_component(flows)          # above: vector
-        assert calls == [8]
-
-    def test_end_to_end_sim_unchanged_by_vector_path(self, trace,
-                                                     monkeypatch):
-        config = SimulationConfig(parallelism="ddp", num_gpus=32,
-                                  topology="ring", iterations=1)
-        with_vector_threshold_4 = None
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 4)
-        with_vector_threshold_4 = TrioSim(trace, config).run()
-        monkeypatch.setattr(flow_mod, "_VECTOR_MIN_FLOWS", 10**9)
-        scalar_only = TrioSim(trace, config).run()
-        assert payload(with_vector_threshold_4) == payload(scalar_only)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the flow-based network model (max-min sharing, rescheduling)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.engine import Engine
@@ -192,12 +192,17 @@ class TestMaxMinProperties:
 
     @given(sizes=st.lists(st.floats(min_value=1.0, max_value=1e4),
                           min_size=2, max_size=6))
+    @example(sizes=[5596.0, 10000.0, 9999.999999999998])
     @settings(max_examples=50, deadline=None)
     def test_property_smaller_finishes_first(self, sizes):
+        """A strictly smaller flow never finishes later.  Sizes an ulp
+        apart may deliver at the same float time, in either order."""
         engine, net = _net(ring(2, bandwidth=100.0, latency=0.0))
         done = {}
         for i, size in enumerate(sizes):
             _send(engine, net, "gpu0", "gpu1", size, done, i)
         engine.run()
-        order = sorted(range(len(sizes)), key=lambda i: done[i])
-        assert [sizes[i] for i in order] == sorted(sizes)
+        for i, small in enumerate(sizes):
+            for j, large in enumerate(sizes):
+                if small < large:
+                    assert done[i] <= done[j], (small, large)
