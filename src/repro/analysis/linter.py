@@ -27,6 +27,7 @@ from repro.analysis.config_rules import ConfigContext
 from repro.analysis.findings import Finding, Report
 from repro.analysis.registry import (
     DEFAULT_REGISTRY,
+    Emitter,
     Rule,
     RuleRegistry,
     load_rules,
@@ -137,6 +138,25 @@ def lint_config(config: Union[SimulationConfig, dict],
             return report
     ctx = ConfigContext.build(config, trace)
     return registry.run_category("config", ctx, report)
+
+
+def lint_fault_targets(config: SimulationConfig, topology: Optional[nx.Graph],
+                       registry: Optional[RuleRegistry] = None) -> Report:
+    """FT001/FT002 of *config*'s fault spec against the built *topology*.
+
+    The direct-API guard :class:`~repro.core.simulator.TrioSim` runs
+    before the first event: a fault naming a device or link the run
+    does not have ends as a finding instead of a ``KeyError`` mid-run.
+    Only the two target rules run, over the spec's entries and the
+    already-built graph.
+    """
+    registry = registry or DEFAULT_REGISTRY
+    ctx = ConfigContext(config, graph=topology)
+    report = Report()
+    for rule_obj in registry.rules("config"):
+        if rule_obj.id in ("FT001", "FT002"):
+            rule_obj.fn(ctx, Emitter(rule_obj, report))
+    return report
 
 
 # ----------------------------------------------------------------------

@@ -395,8 +395,15 @@ class TrioSim:
         injector = None
         faults = self.config.faults
         if faults is not None and not faults.is_empty:
+            from repro.analysis import AnalysisError
+            from repro.analysis.linter import lint_fault_targets
             from repro.faults import FaultInjector
 
+            found = lint_fault_targets(
+                self.config, getattr(network, "topology", None))
+            if found.has_errors:
+                raise AnalysisError(found, "fault spec does not match the "
+                                           "simulated topology")
             injector = FaultInjector(engine, sim, network, faults,
                                      allow_chaos=self.allow_chaos).install()
         suite = None

@@ -334,10 +334,9 @@ class Engine(Hookable):
         *until*).  Returns the final virtual time.
         """
         self._paused = False
-        if self._profile is not None:
+        if (self._profile is not None or self._heartbeat is not None
+                or self._dispatch_observer is not None):
             return self._run_instrumented(until)
-        if self._dispatch_observer is not None or self._heartbeat is not None:
-            return self._run_observed(until)
         heappop = heapq.heappop
         queue = self._queue
         # self._hooks is mutated in place by accept/remove, so binding the
@@ -400,13 +399,19 @@ class Engine(Hookable):
             self._now = max(self._now, until)
         return self._now
 
-    def _run_observed(self, until: Optional[float]) -> float:
-        """Run-loop variant when a dispatch observer or heartbeat is set.
+    def _run_instrumented(self, until: Optional[float]) -> float:
+        """Run loop for observed, heartbeat and profiled runs.
 
         Dispatch order is identical to :meth:`run`'s fast loop; this
-        variant just keeps the per-event observer/heartbeat call sites
-        out of the common path.
+        loop adds the per-event heartbeat and dispatch-observer call
+        sites and, when :meth:`set_profile` installed a sink, buckets
+        wall time into it: ``handler`` and ``hook_overhead`` are timed
+        around each dispatch, and ``queue_ops`` is the rest of the loop
+        (heap work, bookkeeping, heartbeat and observer).  Without a
+        sink it never reads the clock.
         """
+        profile = self._profile
+        timed = profile is not None
         heappop = heapq.heappop
         queue = self._queue
         hooks = self._hooks
@@ -414,86 +419,25 @@ class Engine(Hookable):
         heartbeat = self._heartbeat
         beat_countdown = self._heartbeat_every
         callback_lane = CallbackEvent
-        while queue and not self._paused:
-            time, seq, event = queue[0]
-            if until is not None and time > until:
-                self._now = until
-                return until
-            heappop(queue)
-            if event.cancelled:
-                if event._seq != seq:
-                    self._discard_stale(event, seq)
-                self._cancelled -= 1
-                continue
-            if event._seq != seq and self._discard_stale(event, seq):
-                # Skipped before the observer: requeue-stale entries are
-                # invisible to the dispatch stream.
-                self._cancelled -= 1
-                continue
-            event._engine = None
-            self._now = time
-            self._dispatched += 1
-            if self._dispatched > self._max_events:
-                raise SimulationLimitError(
-                    f"exceeded max_events={self._max_events}; "
-                    "possible runaway event loop"
-                )
-            if heartbeat is not None:
-                beat_countdown -= 1
-                if beat_countdown <= 0:
-                    beat_countdown = self._heartbeat_every
-                    heartbeat(self)
-            if observer is not None:
-                observer(time, seq, event)
-            if hooks:
-                self.invoke_hooks(HookCtx(HOOK_BEFORE_EVENT, time, event))
-                event.handler.handle(event)
-                self.invoke_hooks(HookCtx(HOOK_AFTER_EVENT, time, event))
-            elif type(event) is callback_lane:
-                event._callback(event)
-            else:
-                event.handler.handle(event)
-        if until is not None and not queue:
-            self._now = max(self._now, until)
-        return self._now
-
-    def _run_instrumented(self, until: Optional[float]) -> float:
-        """Fully-featured run loop that buckets time for the profiler.
-
-        Same dispatch semantics as :meth:`_run_observed`; additionally
-        accumulates ``queue_ops`` / ``handler`` / ``hook_overhead``
-        seconds into the sink installed by :meth:`set_profile`.
-        """
-        profile = self._profile
-        assert profile is not None
-        heappop = heapq.heappop
-        queue = self._queue
-        hooks = self._hooks
-        observer = self._dispatch_observer
-        heartbeat = self._heartbeat
-        beat_countdown = self._heartbeat_every
-        queue_ops = profile.get("queue_ops", 0.0)
-        handler_s = profile.get("handler", 0.0)
-        hook_s = profile.get("hook_overhead", 0.0)
+        handler_s = hook_s = 0.0
+        if timed:
+            loop_start = perf_counter()
         try:
-            while True:
-                t0 = perf_counter()
-                if not queue or self._paused:
-                    queue_ops += perf_counter() - t0
-                    break
+            while queue and not self._paused:
                 time, seq, event = queue[0]
                 if until is not None and time > until:
                     self._now = until
-                    queue_ops += perf_counter() - t0
                     return until
                 heappop(queue)
-                if event.cancelled or (
-                        event._seq != seq
-                        and self._discard_stale(event, seq)):
-                    if event.cancelled and event._seq != seq:
+                if event.cancelled:
+                    if event._seq != seq:
                         self._discard_stale(event, seq)
                     self._cancelled -= 1
-                    queue_ops += perf_counter() - t0
+                    continue
+                if event._seq != seq and self._discard_stale(event, seq):
+                    # Skipped before the observer: requeue-stale entries
+                    # are invisible to the dispatch stream.
+                    self._cancelled -= 1
                     continue
                 event._engine = None
                 self._now = time
@@ -510,25 +454,36 @@ class Engine(Hookable):
                         heartbeat(self)
                 if observer is not None:
                     observer(time, seq, event)
-                queue_ops += perf_counter() - t0
+                if timed:
+                    t0 = perf_counter()
                 if hooks:
-                    t1 = perf_counter()
                     self.invoke_hooks(HookCtx(HOOK_BEFORE_EVENT, time, event))
-                    t2 = perf_counter()
+                    if timed:
+                        t1 = perf_counter()
                     event.handler.handle(event)
-                    t3 = perf_counter()
+                    if timed:
+                        t2 = perf_counter()
                     self.invoke_hooks(HookCtx(HOOK_AFTER_EVENT, time, event))
-                    t4 = perf_counter()
-                    hook_s += (t2 - t1) + (t4 - t3)
-                    handler_s += t3 - t2
+                    if timed:
+                        t3 = perf_counter()
+                        hook_s += (t1 - t0) + (t3 - t2)
+                        handler_s += t2 - t1
+                elif type(event) is callback_lane:
+                    event._callback(event)
+                    if timed:
+                        handler_s += perf_counter() - t0
                 else:
-                    t1 = perf_counter()
                     event.handler.handle(event)
-                    handler_s += perf_counter() - t1
+                    if timed:
+                        handler_s += perf_counter() - t0
         finally:
-            profile["queue_ops"] = queue_ops
-            profile["handler"] = handler_s
-            profile["hook_overhead"] = hook_s
+            if timed:
+                loop_s = perf_counter() - loop_start
+                profile["queue_ops"] = (profile.get("queue_ops", 0.0)
+                                        + loop_s - handler_s - hook_s)
+                profile["handler"] = profile.get("handler", 0.0) + handler_s
+                profile["hook_overhead"] = (profile.get("hook_overhead", 0.0)
+                                            + hook_s)
         if until is not None and not queue:
             self._now = max(self._now, until)
         return self._now

@@ -19,11 +19,12 @@ Two independent layers, composable:
   dict — ``decolumnize_trace(columnize_trace(d)) == d`` — so the worker
   still feeds :meth:`Trace.from_dict` and its schema validation.
 
-The sweep runner packs the per-sweep trace table once per pool build
-(the dominant transfer: every worker receives every prepared trace at
-initialization) and packs point payloads in chunks; both sides fall
-back transparently when handed un-packed objects, so in-process runs
-and tests that call the worker functions directly are unaffected.
+The sweep runner packs the per-sweep trace table once per sweep with
+:func:`pack_traces` and ships that blob to every pool worker's
+initializer (the dominant transfer: every worker receives every
+prepared trace).  Point payloads are small plain dicts with no numeric
+buffers, so they travel as ordinary pickles and never pass through
+this module.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ def unpack(blob) -> Any:
     if not frames:
         raise TransportError("blob carries no pickle frame")
     return pickle.loads(frames[0], buffers=frames[1:])
-
-
-def is_packed(obj) -> bool:
-    """Whether *obj* looks like a :func:`pack`'d blob."""
-    return (isinstance(obj, (bytes, bytearray, memoryview))
-            and bytes(memoryview(obj)[:4]) == MAGIC)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.core.plan import PlanCache
@@ -203,16 +203,15 @@ _OP_TIMES: Dict[Tuple[str, str], OpTimeModel] = {}
 _PLAN_CACHE: Optional[PlanCache] = None
 
 
-def init_worker(trace_dicts,
+def init_worker(trace_blob: bytes,
                 plan_mode: Optional[str] = "") -> None:
     """Pool initializer: receive every prepared trace exactly once.
 
-    *trace_dicts* is either a plain ``{gpu_key: trace dict}`` mapping or
-    a :func:`repro.service.transport.pack_traces` blob — the runner
-    ships the latter (framed protocol-5, numeric trace columns as
-    out-of-band buffers) so the per-worker copy of every prepared trace
-    costs a handful of memcpys instead of a deep pickle of nested
-    dicts.
+    *trace_blob* is the :func:`repro.service.transport.pack_traces`
+    table of the sweep's prepared traces, keyed by GPU key (framed
+    protocol-5, numeric trace columns as out-of-band buffers), so the
+    per-worker copy of every prepared trace costs a handful of memcpys
+    instead of a deep pickle of nested dicts.
 
     *plan_mode* configures plan caching in this process: ``None``
     disables it, ``""`` (the default) gives the worker a private
@@ -222,10 +221,8 @@ def init_worker(trace_dicts,
     load.
     """
     global _PLAN_CACHE
-    if transport.is_packed(trace_dicts):
-        trace_dicts = transport.unpack_traces(trace_dicts)
     _TRACE_DICTS.clear()
-    _TRACE_DICTS.update(trace_dicts)
+    _TRACE_DICTS.update(transport.unpack_traces(trace_blob))
     _PARSED.clear()
     _OP_TIMES.clear()
     if plan_mode is None:
@@ -300,7 +297,7 @@ def simulate_point(trace: Trace, config: SimulationConfig,
 
 
 def run_point(payload: dict) -> dict:
-    """Process-pool entry point: simulate one serialized sweep point.
+    """Simulate one serialized sweep point (the body of :func:`run_chunk`).
 
     Returns ``{"ok": True, "result": <result dict>}`` on success or
     ``{"ok": False, "error": {kind, message, traceback}}`` on any failure,
@@ -330,21 +327,21 @@ def run_point(payload: dict) -> dict:
         return {"ok": False, "error": error_record(exc)}
 
 
-def run_chunk(payloads) -> list:
+def run_chunk(payloads: List[dict]) -> List[dict]:
     """Process-pool entry point: simulate a chunk of sweep points.
 
-    *payloads* is either a list of :func:`run_point` payload dicts or a
-    :func:`repro.service.transport.pack` blob of one; replies come back
-    in submission order, one :func:`run_point` reply per payload.  Each
-    point still runs under its own deadlines and degrades to its own
-    error record — chunking only amortizes the per-future dispatch and
-    serialization overhead, it never couples point outcomes (except
-    that a worker crash takes the whole in-flight chunk down, which the
-    runner's retry pass then re-attributes point by point).
+    The runner's only pool entry point — for wave chunks of any size,
+    singletons included, and for isolated crash retries.  *payloads* is
+    a list of :func:`run_point` payload dicts (plain data, pickled once
+    by the executor); replies come back in submission order, one
+    :func:`run_point` reply per payload.  Each point still runs under
+    its own deadlines and degrades to its own error record — chunking
+    only amortizes the per-future dispatch overhead, it never couples
+    point outcomes (except that a worker crash takes the whole
+    in-flight chunk down, which the runner's retry pass then
+    re-attributes point by point).
 
     ``run_point`` is resolved through the module namespace on each call
-    so test seams that monkeypatch it keep working under chunking.
+    so test seams that monkeypatch it keep working.
     """
-    if transport.is_packed(payloads):
-        payloads = transport.unpack(payloads)
     return [run_point(payload) for payload in payloads]

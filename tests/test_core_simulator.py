@@ -171,6 +171,31 @@ class TestEngineProfile:
         assert not any(name.startswith("engine.")
                        for name in res.profile["phases"])
 
+    def test_profile_verify_and_heartbeat_share_one_loop(self, trace):
+        # Profile, race detectors and heartbeat all ride the one
+        # instrumented loop: together they dispatch exactly what the
+        # race detectors alone do, and the profile still fills in.
+        cfg = SimulationConfig(parallelism="ddp", num_gpus=4,
+                               link_bandwidth=20e9)
+        verified = TrioSim(trace, cfg, record_timeline=False, verify=True)
+        plain = verified.run()
+        beats = []
+        combined = TrioSim(trace, cfg, record_timeline=False, verify=True,
+                           profile_engine=True, heartbeat=beats.append,
+                           heartbeat_every=64)
+        result = combined.run()
+        assert combined.verify_digest == verified.verify_digest
+        assert result.total_time == plain.total_time
+        assert result.events == plain.events
+        assert len(beats) == result.events // 64
+        phases = result.profile["phases"]
+        for bucket in ("engine.queue_ops", "engine.handler",
+                       "engine.hook_overhead"):
+            assert bucket in phases, bucket
+        assert phases["engine.queue_ops"] > 0.0
+        assert phases["engine.handler"] > 0.0
+        assert phases["engine.hook_overhead"] >= 0.0
+
     def test_profile_engine_does_not_perturb_results(self, trace):
         cfg = SimulationConfig(parallelism="ddp", num_gpus=2,
                                link_bandwidth=20e9)

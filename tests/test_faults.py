@@ -9,6 +9,7 @@ the supporting primitives (``defer_pending``, ``set_link_capacity``,
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -420,3 +421,37 @@ class TestFaultLintRules:
         report = lint_config(_config(faults=spec))
         assert "FT006" in set(report.rule_ids())
         assert not report.has_errors
+
+
+class TestDirectApiFaultTargets:
+    """``TrioSim.run()`` checks fault targets against the topology it
+    built before the first event, so a spec naming a missing device or
+    link ends as FT001/FT002 findings instead of a mid-run ``KeyError``."""
+
+    def test_link_flap_example_on_leaf_spine_is_ft002(self, trace):
+        from repro.analysis import AnalysisError
+
+        example = (Path(__file__).parent.parent
+                   / "examples/faults_link_flap.json")
+        spec = FaultSpec.from_dict(json.loads(example.read_text()))
+        config = _config(faults=spec, topology="leaf_spine")
+        with pytest.raises(AnalysisError) as info:
+            TrioSim(trace, config).run()
+        findings = info.value.report.errors
+        assert {f.rule for f in findings} == {"FT002"}
+        assert {f.detail["link"] for f in findings} == {"gpu0-gpu1",
+                                                        "gpu2-gpu3"}
+        # The same findings lint_config reports for this config.
+        assert "FT002" in set(lint_config(config).rule_ids())
+
+    def test_unknown_straggler_gpu_is_ft001(self, trace):
+        from repro.analysis import AnalysisError
+
+        spec = FaultSpec(stragglers=(Straggler("gpu99", 0.0, 0.1, 2.0),))
+        with pytest.raises(AnalysisError) as info:
+            TrioSim(trace, _config(faults=spec)).run()
+        assert set(info.value.report.rule_ids()) == {"FT001"}
+
+    def test_valid_targets_still_run(self, trace):
+        spec = FaultSpec(link_faults=(LinkFault("gpu0-gpu1", 0.0, 10.0, 0.5),))
+        assert _total(trace, _config(faults=spec)) > _total(trace, _config())

@@ -92,6 +92,41 @@ class TestWorkerCrash:
         assert {o.index: o.retries for o in hook.outcomes}[1] \
             == SweepRunner.MAX_CRASH_RETRIES
 
+    def test_crash_inside_a_multi_point_chunk(self, trace, monkeypatch):
+        # Two points per future: the chaos point takes its chunk-mate
+        # down with it, but the isolated retry pass re-attributes the
+        # crash point by point.
+        monkeypatch.setattr(SweepRunner, "_chunk_size",
+                            staticmethod(lambda n_points, workers: 2))
+        configs = [
+            _config(num_gpus=2),
+            _config(num_gpus=2, faults=FaultSpec(chaos_kill_at=1e-4)),
+            _config(num_gpus=4),
+            _config(num_gpus=4, link_bandwidth=100e9),
+        ]
+        sequential = {
+            i: TrioSim(trace, cfg).run().total_time
+            for i, cfg in enumerate(configs) if cfg.faults is None
+        }
+        runner = SweepRunner(max_workers=2, retry_backoff=0.001)
+        outcomes = runner.run(trace, configs)
+
+        assert [o.ok for o in outcomes] == [True, False, True, True]
+        assert outcomes[1].error.kind == "WorkerCrashed"
+        assert outcomes[1].retries == SweepRunner.MAX_CRASH_RETRIES
+        for i, expected in sequential.items():
+            assert outcomes[i].unwrap().total_time == expected
+        # The chunk-mate died with the chaos point and needed exactly
+        # one isolated retry; the other chunk may or may not have been
+        # in flight when the pool broke.
+        assert outcomes[0].retries == 1
+        assert outcomes[2].retries in (0, 1)
+        assert outcomes[3].retries == outcomes[2].retries
+        metrics = runner.last_metrics
+        assert metrics.retries == sum(o.retries for o in outcomes)
+        assert metrics.worker_crashes == 1
+        assert metrics.errors == 1
+
     def test_retry_backoff_is_seeded_and_bounded(self):
         import random
 

@@ -70,34 +70,29 @@ class TestDeterminism:
         outcomes = SweepRunner(max_workers=1).run(trace, configs)
         assert [o.unwrap().total_time for o in outcomes] == sequential
 
-    def test_chunked_dispatch_bit_identical_to_sequential(self, trace):
-        # Chunked point submission (several points per pool future,
-        # packed through the transport) must not change results, order,
-        # or labels relative to the one-point-per-future path.
+    def test_chunked_dispatch_bit_identical_to_sequential(self, trace,
+                                                          monkeypatch):
+        # Chunked point submission (several points per pool future)
+        # must not change results, order, or labels relative to the
+        # one-point-per-future path.
         configs = _grid()
         sequential = [
             TrioSim(trace, cfg, record_timeline=False).run().total_time
             for cfg in configs
         ]
         for chunk in (2, 3):
-            outcomes = SweepRunner(max_workers=2,
-                                   dispatch_chunk=chunk).run(trace, configs)
+            monkeypatch.setattr(SweepRunner, "_chunk_size",
+                                staticmethod(lambda n, workers, c=chunk: c))
+            outcomes = SweepRunner(max_workers=2).run(trace, configs)
             assert [o.unwrap().total_time for o in outcomes] == sequential
             assert [o.index for o in outcomes] == list(range(len(configs)))
 
-    def test_dispatch_chunk_validates(self):
-        with pytest.raises(ValueError):
-            SweepRunner(dispatch_chunk=0)
-
     def test_auto_chunk_size_scales_with_sweep(self):
-        runner = SweepRunner(max_workers=2)
-        # Small sweeps stay at one point per future (latency, and the
-        # run_point seam tests monkeypatch); big sweeps batch, capped.
-        assert runner._chunk_size(4, workers=2) == 1
-        assert runner._chunk_size(40, workers=2) == 5
-        assert runner._chunk_size(1000, workers=2) == 8
-        assert SweepRunner(max_workers=2,
-                           dispatch_chunk=3)._chunk_size(4, workers=2) == 3
+        # Small sweeps stay at one point per future (latency, and crash
+        # attribution); big sweeps batch, capped.
+        assert SweepRunner._chunk_size(4, workers=2) == 1
+        assert SweepRunner._chunk_size(40, workers=2) == 5
+        assert SweepRunner._chunk_size(1000, workers=2) == 8
 
     def test_outcomes_preserve_input_order_and_labels(self, trace):
         configs = _grid()
