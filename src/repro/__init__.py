@@ -33,7 +33,7 @@ from repro.analysis import (
 )
 from repro.core.config import SimulationConfig
 from repro.core.plan import ExtrapolationPlan, PlanCache
-from repro.core.results import SimulationResult, TimelineRecord
+from repro.core.results import SimulationResult, Timeline, TimelineRecord
 from repro.core.simulator import TrioSim
 from repro.core.report import export_html_report
 from repro.core.timeline import export_chrome_trace, timeline_summary
@@ -106,6 +106,7 @@ __all__ = [
     "TOPOLOGIES",
     "TRANSFORMER_NAMES",
     "TopologySpec",
+    "Timeline",
     "TimelineRecord",
     "Trace",
     "TraceFormatError",

@@ -7,7 +7,7 @@ the :class:`~repro.core.results.SimulationResult`.
 """
 
 from repro.core.config import SimulationConfig
-from repro.core.results import SimulationResult, TimelineRecord
+from repro.core.results import SimulationResult, Timeline, TimelineRecord
 from repro.core.simulator import TrioSim
 from repro.core.taskgraph import SimTask, TaskGraphSimulator
 from repro.core.report import export_html_report
@@ -22,6 +22,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "TaskGraphSimulator",
+    "Timeline",
     "TimelineRecord",
     "TrioSim",
 ]

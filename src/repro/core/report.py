@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import List, Union
+from typing import Iterable, List, Union
 
-from repro.core.results import SimulationResult, TimelineRecord
+import numpy as np
+
+from repro.core.results import SimulationResult, Timeline, TimelineRecord
 from repro.core.timeline import timeline_summary
 
 _PHASE_COLORS = {
@@ -48,10 +50,18 @@ svg text { font-size: 11px; font-family: inherit; }
 """
 
 
-def _lane_order(records: List[TimelineRecord]) -> List[str]:
-    gpus = sorted({r.resource for r in records if r.kind == "compute"})
-    links = sorted({r.resource for r in records if r.kind == "transfer"})
-    return gpus + links
+def _lane_order(timeline: Timeline) -> List[str]:
+    gpus = timeline.distinct(
+        "resource", timeline.where("kind", lambda kind: kind == "compute"))
+    links = timeline.distinct(
+        "resource", timeline.where("kind", lambda kind: kind == "transfer"))
+    return sorted(gpus) + sorted(links)
+
+
+def _slowest(timeline: Timeline, top: int) -> List[TimelineRecord]:
+    """The *top* longest rows, longest first (ties in timeline order)."""
+    order = np.argsort(-timeline.durations(), kind="stable")[:top]
+    return [timeline[index] for index in order.tolist()]
 
 
 def _svg_gantt(result: SimulationResult, max_bars: int = 4000) -> str:
@@ -74,10 +84,10 @@ def _svg_gantt(result: SimulationResult, max_bars: int = 4000) -> str:
             f'<rect x="{_LABEL_WIDTH}" y="{y}" width="{_CHART_WIDTH}" '
             f'height="{_LANE_HEIGHT}" fill="#f7f7f7"/>'
         )
-    shown = records
+    shown: Iterable[TimelineRecord] = records
     if len(records) > max_bars:
         # Keep the longest bars; tiny slivers are invisible anyway.
-        shown = sorted(records, key=lambda r: -r.duration)[:max_bars]
+        shown = _slowest(records, max_bars)
     for record in shown:
         y = lane_index[record.resource] * (_LANE_HEIGHT + _LANE_GAP)
         x = _LABEL_WIDTH + record.start * scale
@@ -127,7 +137,7 @@ def _utilization_table(result: SimulationResult) -> str:
 
 
 def _slowest_table(result: SimulationResult, top: int = 15) -> str:
-    slowest = sorted(result.timeline, key=lambda r: -r.duration)[:top]
+    slowest = _slowest(result.timeline, top)
     rows = "".join(
         f"<tr><td>{html.escape(r.name)}</td><td>{html.escape(r.resource)}</td>"
         f"<td>{r.duration * 1e3:.3f}</td></tr>"

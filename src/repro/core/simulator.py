@@ -19,7 +19,6 @@ Typical use::
 from __future__ import annotations
 
 import time as _wall
-from collections import defaultdict
 from typing import Dict, Optional
 
 import networkx as nx
@@ -28,7 +27,7 @@ from repro.core.config import SimulationConfig
 from repro.core.fold import fold_decision, steady
 from repro.core.plan import ExtrapolationPlan, PlanBuilder, PlanCache, plan_key
 from repro.core.profiler import PipelineProfiler
-from repro.core.results import SimulationResult, TimelineRecorder
+from repro.core.results import SimulationResult, Timeline, TimelineRecorder
 from repro.core.taskgraph import TaskGraphSimulator
 from repro.core.timeline import shift_records
 from repro.engine.engine import Engine
@@ -551,26 +550,24 @@ class TrioSim:
                                     - before["comm_bytes"])
         network.extend_stats(before["network"], after["network"], folded)
         if recorder is not None:
-            span = recorder.records[before["records"]:after["records"]]
+            records = recorder.records
             last_end = boundaries[warmup - 1]
-            for index in range(folded):
-                offset = boundaries[warmup + index] - last_end
-                recorder.records.extend(shift_records(span, offset))
+            offsets = [boundaries[warmup + index] - last_end
+                       for index in range(folded)]
+            records.extend(shift_records(
+                records.segment(before["records"], after["records"]),
+                offsets))
 
     def _assemble(self, profiler: PipelineProfiler, engine: Engine, network,
                   sim: TaskGraphSimulator, recorder, started: float,
                   total: float, iteration_times) -> SimulationResult:
         wall = _wall.perf_counter() - started
-        per_layer = defaultdict(float)
-        per_phase = defaultdict(float)
-        timeline = recorder.records if recorder is not None else []
-        for record in timeline:
-            if record.kind != "compute":
-                continue
-            if record.layer:
-                per_layer[record.layer] += record.duration
-            if record.phase:
-                per_phase[record.phase] += record.duration
+        timeline = recorder.records if recorder is not None else Timeline()
+        compute = timeline.where("kind", lambda kind: kind == "compute")
+        per_layer = timeline.total_by(
+            "layer", compute & timeline.where("layer", bool))
+        per_phase = timeline.total_by(
+            "phase", compute & timeline.where("phase", bool))
         if self._engine_profile:
             # Split the engine phase into the instrumented loop's
             # buckets (queue_ops / handler / hook_overhead) so
@@ -583,8 +580,8 @@ class TrioSim:
             compute_time=sim.compute_task_time,
             communication_time=sim.comm_task_time,
             per_gpu_busy={g: sim.gpu_busy_time(g) for g in sim.gpus_seen},
-            per_layer=dict(per_layer),
-            per_phase=dict(per_phase),
+            per_layer=per_layer,
+            per_phase=per_phase,
             timeline=timeline,
             wall_time=wall,
             events=engine.dispatched_events,

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
-from repro.core.results import SimulationResult, TimelineRecord
+import numpy as np
+
+from repro.core.results import SimulationResult, Timeline, TimelineRecord
 
 #: Chrome trace-event colour names per phase (see catapult's colour list).
 _PHASE_COLORS = {
@@ -31,60 +33,55 @@ _PHASE_COLORS = {
 _MICRO = 1e6  # trace events are in microseconds
 
 
-def shift_records(records: Iterable[TimelineRecord],
-                  offset: float) -> List[TimelineRecord]:
-    """Copies of *records* translated *offset* seconds along the timeline.
+def shift_records(records: Timeline, offsets: Sequence[float]) -> Timeline:
+    """Copies of *records* translated along the timeline, one block of
+    rows per offset in *offsets* (seconds), in that order.
 
     The replication primitive of steady-state iteration folding: a folded
-    iteration's timeline is the last warm-up iteration's records shifted
-    by a whole number of steady-state periods (see
-    ``docs/performance.md``).  Resources, phases, and layers are
-    preserved, so per-layer/per-phase aggregation and the Chrome trace
-    export treat replicated records exactly like simulated ones.
-
-    Clones are built by copying ``__dict__`` instead of going through
-    the frozen dataclass constructor: replication runs once per folded
-    iteration over every record of the steady-state slice, and the
-    constructor's per-field ``object.__setattr__`` calls dominate the
-    ``fold_extend`` phase at scale.
+    iteration's timeline is the last warm-up iteration's rows shifted by
+    a whole number of steady-state periods (see ``docs/performance.md``).
+    Names, kinds, resources, phases and layers are preserved (the copies
+    share the source's text codes), so per-layer/per-phase aggregation
+    and the Chrome trace export treat replicated rows exactly like
+    simulated ones.  The shift is one broadcast ``start + offset`` (and
+    ``end + offset``) over every block: the same IEEE additions as
+    shifting row by row.
     """
-    new = object.__new__
-    cls = TimelineRecord
-    out: List[TimelineRecord] = []
-    append = out.append
-    for record in records:
-        clone = new(cls)
-        attrs = clone.__dict__
-        attrs.update(record.__dict__)
-        attrs["start"] = attrs["start"] + offset
-        attrs["end"] = attrs["end"] + offset
-        append(clone)
-    return out
+    shifts = np.asarray(offsets, dtype=np.float64)[:, None]
+    return records.tile((records.start + shifts).ravel(),
+                        (records.end + shifts).ravel())
 
 
-def timeline_to_events(records: Iterable[TimelineRecord],
+def timeline_to_events(records: Union[Timeline, Iterable[TimelineRecord]],
                        pid: int = 1) -> List[dict]:
-    """Convert timeline records to Chrome duration events ("ph": "X")."""
-    tracks: Dict[str, int] = {}
-    events: List[dict] = []
-    for record in records:
-        tid = tracks.setdefault(record.resource, len(tracks))
-        events.append({
-            "name": record.name,
-            "cat": record.kind,
+    """Convert timeline rows to Chrome duration events ("ph": "X")."""
+    timeline = records if isinstance(records, Timeline) else Timeline(records)
+    resources = timeline.distinct("resource")
+    track = {resource: tid for tid, resource in enumerate(resources)}
+    tids = [track[r] for r in timeline.column("resource")]
+    ts = (timeline.start * _MICRO).tolist()
+    dur = np.maximum(timeline.durations() * _MICRO, 0.001).tolist()
+    events: List[dict] = [
+        {
+            "name": name,
+            "cat": kind,
             "ph": "X",
-            "ts": record.start * _MICRO,
-            "dur": max(record.duration * _MICRO, 0.001),
+            "ts": start,
+            "dur": length,
             "pid": pid,
             "tid": tid,
-            "cname": _PHASE_COLORS.get(record.phase, "generic_work"),
+            "cname": _PHASE_COLORS.get(phase, "generic_work"),
             "args": {
-                "phase": record.phase or "",
-                "layer": record.layer or "",
+                "phase": phase or "",
+                "layer": layer or "",
             },
-        })
+        }
+        for name, kind, start, length, tid, phase, layer in zip(
+            timeline.column("name"), timeline.column("kind"), ts, dur, tids,
+            timeline.column("phase"), timeline.column("layer"))
+    ]
     # Name the tracks: GPUs first, then links, in first-seen order.
-    for resource, tid in tracks.items():
+    for tid, resource in enumerate(resources):
         events.append({
             "name": "thread_name",
             "ph": "M",
@@ -123,11 +120,7 @@ def export_chrome_trace(result: SimulationResult,
 def timeline_summary(result: SimulationResult) -> Dict[str, Dict[str, float]]:
     """Per-resource busy time and utilization over the simulated span."""
     span = result.total_time or 1.0
-    per_resource: Dict[str, float] = {}
-    for record in result.timeline:
-        per_resource[record.resource] = (
-            per_resource.get(record.resource, 0.0) + record.duration
-        )
+    per_resource = result.timeline.total_by("resource")
     return {
         resource: {"busy": busy, "utilization": busy / span}
         for resource, busy in sorted(per_resource.items())

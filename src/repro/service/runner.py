@@ -550,14 +550,25 @@ class SweepRunner(Hookable):
                                          op_times, gpu_key)
         return point_trace, op_time
 
-    def _prepare_traces(self, trace: Trace, points) -> Dict[str, Trace]:
-        """Rescale *trace* once per distinct target GPU among *points*."""
+    def _prepare_traces(self, trace: Trace, points: List[SweepOutcome]
+                        ) -> Tuple[Dict[str, Trace], List[SweepOutcome]]:
+        """Rescale *trace* once per distinct target GPU among *points*.
+
+        Returns the prepared traces by GPU key, and the points whose
+        target GPU could not be prepared (e.g. an unknown ``gpu`` with
+        ``lint=False``).
+        """
         prepared: Dict[str, Trace] = {}
+        unprepared: List[SweepOutcome] = []
         for point in points:
             gpu_key = self._gpu_key(trace, point.config)
-            if gpu_key not in prepared:
+            if gpu_key in prepared:
+                continue
+            try:
                 prepared[gpu_key] = self._shared_work(trace, gpu_key)[0]
-        return prepared
+            except Exception:
+                unprepared.append(point)
+        return prepared, unprepared
 
     def _plan_mode(self) -> Optional[str]:
         """The worker-initializer encoding of this runner's plan cache:
@@ -961,7 +972,16 @@ class SweepRunner(Hookable):
                       workers: int, record_timeline: bool,
                       metrics: SweepMetrics, started: float,
                       base_key: str) -> None:
-        prepared = self._prepare_traces(trace, points)
+        prepared, unprepared = self._prepare_traces(trace, points)
+        if unprepared:
+            # Simulating these in this process fails the same way, and
+            # records each point's error exactly as the in-process path.
+            self._run_inproc(trace, unprepared, record_timeline, metrics,
+                             started, base_key)
+            failed = {o.index for o in unprepared}
+            points = [o for o in points if o.index not in failed]
+            if not points:
+                return
         # Packed once per sweep: framed protocol-5 with the numeric
         # trace columns as out-of-band buffers.  Every pool (re)build
         # re-ships this same blob to each worker.

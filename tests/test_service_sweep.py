@@ -193,6 +193,22 @@ class TestErrors:
         assert not outcomes[1].ok
         assert outcomes[1].error.traceback   # worker shipped its traceback
 
+    def test_unpreparable_point_fails_alone_in_parallel_sweep(self, trace):
+        # An unknown GPU cannot be rescaled to; with lint off, that point
+        # must end as its own error record on the parallel path too,
+        # exactly as on the in-process path, not kill the sweep.
+        configs = [SimulationConfig(num_gpus=2, gpu="NOPE"),
+                   SimulationConfig(num_gpus=2)]
+        parallel = SweepRunner(max_workers=2, lint=False).run(trace, configs)
+        inproc = SweepRunner(max_workers=1, lint=False).run(trace, configs)
+        assert [o.ok for o in parallel] == [False, True]
+        assert ((parallel[0].error.kind, parallel[0].error.message)
+                == (inproc[0].error.kind, inproc[0].error.message))
+        simulated = [o.unwrap().to_dict() for o in (parallel[1], inproc[1])]
+        for data in simulated:
+            del data["wall_time"], data["profile"]
+        assert simulated[0] == simulated[1]
+
     def test_timeout_becomes_error_record(self, trace, monkeypatch):
         class SlowSim:
             def __init__(self, *args, **kwargs):
